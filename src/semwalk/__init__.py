@@ -40,7 +40,7 @@ from .evaluation import (
     sweep,
 )
 from .graph import SvgGraph, SvgNode, build_svg, distance_matrix, normalize_transitions
-from .inference import WalkConfig, classify, embed_query, markov_walk
+from .inference import WalkConfig, classify, classify_batch, embed_query, markov_walk
 from .semantics import (
     AH,
     AM,

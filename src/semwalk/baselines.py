@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import EncodedVector, distance
+from .encoding import EncodedVector, distance, stack
 
 
 def class_priors(labels: Sequence[str]) -> dict[str, float]:
@@ -57,7 +57,7 @@ def knn_vote(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, len(train_vectors))
-    dists = np.array([distance(query, v) for v in train_vectors])
+    dists = distance(query, stack(train_vectors))
     order = np.argsort(dists, kind="stable")[:k]
     votes: dict[str, int] = {}
     dist_sums: dict[str, float] = {}

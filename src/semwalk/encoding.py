@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -33,7 +34,11 @@ DISTANCE_EPSILON = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class EncodedVector:
-    """A fixed-length vector of one kind ("bow" or "fv")."""
+    """A fixed-length vector of one kind ("bow" or "fv").
+
+    `values` may also hold several encodings of that kind stacked
+    row-wise (see `stack`), which `distance` compares against at once.
+    """
 
     values: np.ndarray
     kind: str
@@ -316,15 +321,35 @@ def encode_fisher(gmm: GmmModel, descriptors: np.ndarray) -> EncodedVector:
     return EncodedVector(values=powered, kind=FV)
 
 
-def distance(a: EncodedVector, b: EncodedVector) -> float:
-    """Euclidean distance between two encodings of the same kind."""
+def stack(vectors: Sequence[EncodedVector]) -> EncodedVector:
+    """Encodings of one kind and length stacked row-wise."""
+    if not vectors:
+        raise ValueError("no encodings to stack")
+    kinds = {v.kind for v in vectors}
+    if len(kinds) != 1:
+        raise ValueError(f"mixed encoding kinds: {sorted(kinds)}")
+    lengths = {v.values.shape for v in vectors}
+    if len(lengths) != 1:
+        raise ValueError(f"mixed encoding lengths: {sorted(lengths)}")
+    return EncodedVector(values=np.vstack([v.values for v in vectors]), kind=kinds.pop())
+
+
+def distance(a: EncodedVector, b: EncodedVector) -> float | np.ndarray:
+    """Euclidean distance between two encodings of the same kind.
+
+    `b` may stack encodings row-wise; the result is then an array with
+    one distance per row.  Every distance is sqrt(vecdot(a - b, a - b)),
+    the same bits whether it is computed alone or in a stack.
+    """
     if a.kind != b.kind:
         raise ValueError(f"encoding kind mismatch: {a.kind!r} vs {b.kind!r}")
-    if a.values.shape != b.values.shape:
+    if a.values.ndim != 1 or b.values.ndim > 2 or b.values.shape[-1:] != a.values.shape:
         raise ValueError(
             f"encoding length mismatch: {a.values.shape} vs {b.values.shape}"
         )
-    return float(np.linalg.norm(a.values - b.values))
+    diff = a.values - b.values
+    dists = np.sqrt(np.vecdot(diff, diff))
+    return float(dists) if b.values.ndim == 1 else dists
 
 
 def _format_row(values: np.ndarray) -> str:

@@ -148,8 +148,8 @@ def _classify_fold(
 ) -> list[QueryRecord]:
     train_vectors = [encoded[seg.segment_id] for seg in train.segments]
     train_classes = [cmap[annotation_for(seg, mode)] for seg in train.segments]
-    records = []
 
+    queries = [encoded[seg.segment_id] for seg in test.segments]
     if method == SEMBED:
         nodes = [
             graph.SvgNode(
@@ -162,8 +162,15 @@ def _classify_fold(
         svg = graph.build_svg(nodes, taxonomy, mode, config.m)
         transitions = graph.normalize_transitions(svg)
         walk = inference.WalkConfig(z=config.z, t=config.t)
-
-    if method == LINEAR:
+        results = inference.classify_batch(
+            svg, transitions, taxonomy, mode, queries, walk, classes=classes
+        )
+    elif method == KNN:
+        results = [
+            baselines.knn_vote(train_vectors, train_classes, query, config.k)
+            for query in queries
+        ]
+    elif method == LINEAR:
         priors = baselines.class_priors(train_classes)
         weights = baselines.class_weights(priors, config.lam)
         model = baselines.train_weighted_linear(
@@ -174,33 +181,21 @@ def _classify_fold(
             step=config.step,
             seed=seed,
         )
-
-    for seg in test.segments:
-        query = encoded[seg.segment_id]
-        if method == SEMBED:
-            label, dist = inference.classify(
-                svg, transitions, taxonomy, mode, query, walk, classes=classes
-            )
-        elif method == KNN:
-            label, dist = baselines.knn_vote(
-                train_vectors, train_classes, query, config.k
-            )
-        elif method == LINEAR:
-            label = baselines.predict_linear(model, query)
-            dist = {label: 1.0}
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        records.append(
-            QueryRecord(
-                segment_id=seg.segment_id,
-                person_id=seg.person_id,
-                true_class=cmap[annotation_for(seg, mode)],
-                predicted_class=label,
-                p_predicted=float(dist.get(label, 0.0)),
-                distribution=dist,
-            )
+        labels = [baselines.predict_linear(model, query) for query in queries]
+        results = [(label, {label: 1.0}) for label in labels]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return [
+        QueryRecord(
+            segment_id=seg.segment_id,
+            person_id=seg.person_id,
+            true_class=cmap[annotation_for(seg, mode)],
+            predicted_class=label,
+            p_predicted=float(dist.get(label, 0.0)),
+            distribution=dist,
         )
-    return records
+        for seg, (label, dist) in zip(test.segments, results)
+    ]
 
 
 def run_lopo(

@@ -20,7 +20,9 @@ freely across threads.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +31,7 @@ from scipy.sparse import csr_array
 
 from . import semantics
 from .dataset import atomic_write_text
-from .encoding import DISTANCE_EPSILON, EncodedVector
+from .encoding import DISTANCE_EPSILON, EncodedVector, stack
 
 SEMANTIC = "semantic"
 VISUAL = "visual"
@@ -71,24 +73,24 @@ class SvgGraph:
             (i, j, w, tag) for (i, j), (w, tag) in self.edges.items() if i < j
         )
 
-    def vector_matrix(self) -> np.ndarray:
-        """Node vectors stacked row-wise; requires vectors to be attached."""
+    @cached_property
+    def vector_matrix(self) -> EncodedVector:
+        """Node vectors stacked row-wise, built on first use.
+
+        Requires vectors to be attached; the stack is read-only.
+        """
         if any(node.vector is None for node in self.nodes):
             raise ValueError("graph nodes carry no vectors")
-        return np.vstack([node.vector.values for node in self.nodes])
+        stacked = stack([node.vector for node in self.nodes])
+        stacked.values.flags.writeable = False
+        return stacked
 
 
 def distance_matrix(vectors: Sequence[EncodedVector]) -> np.ndarray:
     """Symmetric pairwise Euclidean distances with a zero diagonal."""
     if len(vectors) < 2:
         raise ValueError("need at least 2 vectors")
-    kinds = {v.kind for v in vectors}
-    if len(kinds) != 1:
-        raise ValueError(f"mixed encoding kinds: {sorted(kinds)}")
-    lengths = {v.values.shape[0] for v in vectors}
-    if len(lengths) != 1:
-        raise ValueError(f"mixed encoding lengths: {sorted(lengths)}")
-    stacked = np.vstack([v.values for v in vectors])
+    stacked = stack(vectors).values
     sq = (
         np.sum(stacked**2, axis=1)[:, None]
         - 2.0 * stacked @ stacked.T
@@ -108,15 +110,11 @@ def rank_global(
     broken by (i, j).  Related pairs never appear; if every pair is
     related the ranking is empty.
     """
-    n = distances.shape[0]
-    pairs = [
-        (float(distances[i, j]), i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not related_pair[i, j]
-    ]
-    pairs.sort()
-    return [(i, j) for _, i, j in pairs]
+    i, j = np.triu_indices(distances.shape[0], k=1)
+    unrelated = ~related_pair[i, j]
+    i, j = i[unrelated], j[unrelated]
+    order = np.lexsort((j, i, distances[i, j]))
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def rank_local(
@@ -127,14 +125,12 @@ def rank_local(
     Ties go to the lowest index; returns None when every other node is
     related to i (no local visual edge is needed then).
     """
-    best: tuple[float, int] | None = None
-    for j in range(distances.shape[0]):
-        if j == i or related_pair[i, j]:
-            continue
-        candidate = (float(distances[i, j]), j)
-        if best is None or candidate < best:
-            best = candidate
-    return None if best is None else best[1]
+    candidates = np.flatnonzero(~related_pair[i])
+    candidates = candidates[candidates != i]
+    if candidates.size == 0:
+        return None
+    # argmin returns the first minimum, and candidates ascend.
+    return int(candidates[np.argmin(distances[i, candidates])])
 
 
 def _related_matrix(
@@ -142,18 +138,15 @@ def _related_matrix(
 ) -> np.ndarray:
     """Pairwise relation table, computed once per distinct label pair."""
     unique = sorted(set(annotations))
-    rel: dict[tuple[str, str], bool] = {}
-    for a in unique:
-        for b in unique:
-            if a <= b:
-                rel[(a, b)] = semantics.related(taxonomy, mode, a, b)
-    n = len(annotations)
-    table = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            a, b = annotations[i], annotations[j]
-            table[i, j] = rel[(a, b) if a <= b else (b, a)]
-    return table
+    table = np.zeros((len(unique), len(unique)), dtype=bool)
+    for a, label in enumerate(unique):
+        for b in range(a, len(unique)):
+            table[a, b] = table[b, a] = semantics.related(
+                taxonomy, mode, label, unique[b]
+            )
+    code = {label: a for a, label in enumerate(unique)}
+    codes = np.array([code[label] for label in annotations])
+    return table[np.ix_(codes, codes)]
 
 
 def build_svg(
@@ -181,22 +174,21 @@ def build_svg(
     distances = distance_matrix(vectors)
     related_pair = _related_matrix(annotations, taxonomy, mode)
 
-    undirected: dict[tuple[int, int], str] = {}
-    n = len(nodes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if related_pair[i, j]:
-                undirected[(i, j)] = SEMANTIC
-    for i, j in rank_global(distances, related_pair)[:m]:
-        undirected[(i, j)] = VISUAL
-    for i in range(n):
+    semantic_i, semantic_j = np.nonzero(np.triu(related_pair, k=1))
+    undirected = dict.fromkeys(
+        zip(semantic_i.tolist(), semantic_j.tolist()), SEMANTIC
+    )
+    for pair in rank_global(distances, related_pair)[:m]:
+        undirected[pair] = VISUAL
+    for i in range(len(nodes)):
         j = rank_local(distances, related_pair, i)
         if j is not None:
             undirected[(min(i, j), max(i, j))] = VISUAL
 
+    pairs = np.array(list(undirected))
+    weights = distances[pairs[:, 0], pairs[:, 1]] + DISTANCE_EPSILON
     edges: dict[tuple[int, int], tuple[float, str]] = {}
-    for (i, j), tag in undirected.items():
-        weight = float(distances[i, j]) + DISTANCE_EPSILON
+    for ((i, j), tag), weight in zip(undirected.items(), weights.tolist()):
         edges[(i, j)] = (weight, tag)
         edges[(j, i)] = (weight, tag)
     return SvgGraph(nodes=list(nodes), edges=edges, mode=mode, m=m)
@@ -209,23 +201,30 @@ def normalize_transitions(graph: SvgGraph) -> csr_array:
     node gets the largest probability, and each row sums to one.
     """
     n = len(graph.nodes)
-    rows, cols, vals = [], [], []
-    recip_sums = np.zeros(n)
-    # Sorted accumulation keeps the float results identical whether the
-    # graph was just built or reloaded from a dump.
-    ordered = sorted(graph.edges.items())
-    for (i, _j), (w, _tag) in ordered:
-        if w <= 0.0:
-            raise ValueError(f"non-positive edge weight {w} out of node {i}")
-        recip_sums[i] += 1.0 / w
+    ends = np.fromiter(
+        itertools.chain.from_iterable(graph.edges), dtype=np.intp,
+        count=2 * len(graph.edges),
+    ).reshape(-1, 2)
+    weights = np.fromiter(
+        (w for w, _tag in graph.edges.values()), dtype=np.float64,
+        count=len(graph.edges),
+    )
+    # Row sums accumulate in (i, j) order, so the float results are the
+    # same whether the graph was just built or reloaded from a dump.
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    rows, cols, weights = ends[order, 0], ends[order, 1], weights[order]
+    bad = np.flatnonzero(weights <= 0.0)
+    if bad.size:
+        raise ValueError(
+            f"non-positive edge weight {float(weights[bad[0]])} "
+            f"out of node {int(rows[bad[0]])}"
+        )
+    recip = 1.0 / weights
+    recip_sums = np.bincount(rows, weights=recip, minlength=n)
     if np.any(recip_sums == 0.0):
         missing = int(np.argmax(recip_sums == 0.0))
         raise ValueError(f"node {missing} has no outgoing edges")
-    for (i, j), (w, _tag) in ordered:
-        rows.append(i)
-        cols.append(j)
-        vals.append((1.0 / w) / recip_sums[i])
-    return csr_array((vals, (rows, cols)), shape=(n, n))
+    return csr_array((recip / recip_sums[rows], (rows, cols)), shape=(n, n))
 
 
 def save_graph(graph: SvgGraph, path: str | Path) -> None:
@@ -247,7 +246,12 @@ def save_graph(graph: SvgGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> SvgGraph:
-    """Rebuild graph structure from a save_graph dump (vectors are None)."""
+    """Rebuild graph structure from a save_graph dump (vectors are None).
+
+    The node and edge counts the dump declares must match its lines
+    exactly: a truncated dump or one with trailing lines is rejected,
+    as is an edge line whose ends are not two distinct nodes.
+    """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -256,20 +260,43 @@ def load_graph(path: str | Path) -> SvgGraph:
     if len(header) != 6 or header[0] != "nodes" or header[2] != "mode" or header[4] != "m":
         raise ValueError(f"{path}: bad graph header {lines[0]!r}")
     count, mode, m = int(header[1]), header[3], int(header[5])
+    if len(lines) < 2 + count:
+        raise ValueError(
+            f"{path}: truncated: {min(len(lines) - 1, count)} of {count} node lines "
+            "and no edge header"
+        )
     nodes: list[SvgNode] = []
-    for line in lines[1 : 1 + count]:
+    for lineno, line in enumerate(lines[1 : 1 + count], start=2):
         # Annotation comes last and may contain spaces (e.g. "wash up.v.3").
-        idx, segment_id, annotation = line.split(" ", 2)
+        fields = line.split(" ", 2)
+        if len(fields) != 3:
+            raise ValueError(f"{path}: line {lineno}: bad node line {line!r}")
+        idx, segment_id, annotation = fields
         if int(idx) != len(nodes):
             raise ValueError(f"{path}: node indexes out of order at {line!r}")
         nodes.append(SvgNode(segment_id=segment_id, annotation=annotation, vector=None))
     edge_header = lines[1 + count].split()
     if len(edge_header) != 2 or edge_header[0] != "edges":
         raise ValueError(f"{path}: bad edge header {lines[1 + count]!r}")
+    edge_count = int(edge_header[1])
+    edge_lines = lines[2 + count :]
+    if len(edge_lines) < edge_count:
+        raise ValueError(
+            f"{path}: truncated: {len(edge_lines)} of {edge_count} edge lines"
+        )
+    if len(edge_lines) > edge_count:
+        raise ValueError(
+            f"{path}: {len(edge_lines) - edge_count} trailing line(s) after "
+            f"{edge_count} edges, from line {3 + count + edge_count}"
+        )
     edges: dict[tuple[int, int], tuple[float, str]] = {}
-    for line in lines[2 + count : 2 + count + int(edge_header[1])]:
-        i_s, j_s, w_s, tag = line.split()
-        i, j, w = int(i_s), int(j_s), float(w_s)
+    for lineno, line in enumerate(edge_lines, start=3 + count):
+        fields = line.split()
+        if len(fields) != 4 or fields[3] not in (SEMANTIC, VISUAL):
+            raise ValueError(f"{path}: line {lineno}: bad edge line {line!r}")
+        i, j, w, tag = int(fields[0]), int(fields[1]), float(fields[2]), fields[3]
+        if not (0 <= i < count and 0 <= j < count and i != j):
+            raise ValueError(f"{path}: line {lineno}: bad edge ends {i} {j}")
         edges[(i, j)] = (w, tag)
         edges[(j, i)] = (w, tag)
     return SvgGraph(nodes=nodes, edges=edges, mode=mode, m=m)

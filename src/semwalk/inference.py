@@ -11,12 +11,17 @@ the argmax is the predicted class.
 With t = 0 the pipeline degenerates to reciprocal-distance-weighted
 z-nearest-neighbor voting over classes.
 
+Many queries are classified as one block: each is embedded on its own,
+then one walk moves all start vectors at once as the columns of an
+n x k matrix.  Each column gets exactly the floats it would get alone.
+
 Everything here is a pure function of immutable inputs; queries may be
 classified concurrently without coordination.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -80,6 +85,7 @@ def embed_query(
 def markov_walk(A: csr_array, q: np.ndarray, t: int) -> np.ndarray:
     """Distribution over nodes after t steps: q multiplied by A t times.
 
+    q may also be an n x k block of start vectors, one per column.
     t = 0 returns q itself; the output sums to one whenever q does.
     """
     q = np.asarray(q, dtype=np.float64)
@@ -97,24 +103,32 @@ def class_distribution(
     node_dist: np.ndarray,
     graph: SvgGraph,
     classes: list[tuple[str, ...]],
-) -> dict[str, float]:
+) -> dict[str, float] | list[dict[str, float]]:
     """Accumulate node mass into semantic classes.
 
     Every class in the partition appears in the output (possibly with
     zero mass); probabilities sum to one when the node distribution
-    does.
+    does.  An n x k block of node distributions, one per column, gives
+    a list of k class distributions.
     """
     node_dist = np.asarray(node_dist, dtype=np.float64)
     mapping = semantics.class_map(classes)
-    out = {component[0]: 0.0 for component in classes}
+    names = [component[0] for component in classes]
+    position = {name: c for c, name in enumerate(names)}
+    node_class = np.empty(len(graph.nodes), dtype=np.intp)
     for idx, node in enumerate(graph.nodes):
         name = mapping.get(node.annotation)
         if name is None:
             raise ValueError(
                 f"node annotation {node.annotation!r} missing from class partition"
             )
-        out[name] += float(node_dist[idx])
-    return out
+        node_class[idx] = position[name]
+    # bincount adds each class's nodes in index order, starting from 0.
+    out = []
+    for column in node_dist.T if node_dist.ndim == 2 else [node_dist]:
+        sums = np.bincount(node_class, weights=column, minlength=len(names))
+        out.append(dict(zip(names, sums.tolist())))
+    return out if node_dist.ndim == 2 else out[0]
 
 
 def argmax_class(distribution: dict[str, float]) -> str:
@@ -127,12 +141,40 @@ def argmax_class(distribution: dict[str, float]) -> str:
 
 def query_distances(graph: SvgGraph, query_vector: EncodedVector) -> np.ndarray:
     """Distances from a query encoding to every node vector."""
-    dists = np.empty(len(graph.nodes))
-    for idx, node in enumerate(graph.nodes):
-        if node.vector is None:
-            raise ValueError("graph nodes carry no vectors")
-        dists[idx] = distance(query_vector, node.vector)
-    return dists
+    return distance(query_vector, graph.vector_matrix)
+
+
+def classify_batch(
+    graph: SvgGraph,
+    A: csr_array,
+    taxonomy: semantics.Taxonomy | None,
+    mode: str,
+    query_vectors: Sequence[EncodedVector],
+    config: WalkConfig,
+    classes: list[tuple[str, ...]] | None = None,
+) -> list[tuple[str, dict[str, float]]]:
+    """Embed, walk, aggregate and argmax each query, walking them as one block.
+
+    `classes` defaults to the partition of the graph's own annotations;
+    an evaluation harness may pass a wider partition (for example one
+    covering annotations that only occur in test data) as long as it
+    covers every node annotation.  Results are in query order.
+    """
+    if classes is None:
+        classes = semantics.semantic_classes(
+            taxonomy, {node.annotation for node in graph.nodes}, mode
+        )
+    if not query_vectors:
+        return []
+    starts = np.empty((len(graph.nodes), len(query_vectors)))
+    for k, query_vector in enumerate(query_vectors):
+        dists = query_distances(graph, query_vector)
+        starts[:, k] = embed_query(graph, dists, config.z).q
+    node_dists = markov_walk(A, starts, config.t)
+    return [
+        (argmax_class(dist), dist)
+        for dist in class_distribution(node_dists, graph, classes)
+    ]
 
 
 def classify(
@@ -144,19 +186,7 @@ def classify(
     config: WalkConfig,
     classes: list[tuple[str, ...]] | None = None,
 ) -> tuple[str, dict[str, float]]:
-    """Embed, walk, aggregate, argmax.
-
-    `classes` defaults to the partition of the graph's own annotations;
-    an evaluation harness may pass a wider partition (for example one
-    covering annotations that only occur in test data) as long as it
-    covers every node annotation.
-    """
-    if classes is None:
-        classes = semantics.semantic_classes(
-            taxonomy, {node.annotation for node in graph.nodes}, mode
-        )
-    dists = query_distances(graph, query_vector)
-    embedding = embed_query(graph, dists, config.z)
-    node_dist = markov_walk(A, embedding.q, config.t)
-    dist = class_distribution(node_dist, graph, classes)
-    return argmax_class(dist), dist
+    """Embed, walk, aggregate, argmax: `classify_batch` of one query."""
+    return classify_batch(
+        graph, A, taxonomy, mode, [query_vector], config, classes
+    )[0]

@@ -7,6 +7,7 @@ with the implementation if either is wrong.
 import itertools
 
 import numpy as np
+from scipy.sparse import csr_array
 
 
 def brute_force_edges(distances, is_related, m):
@@ -38,6 +39,30 @@ def brute_force_edges(distances, is_related, m):
         if best is not None:
             visual.add((min(i, best), max(i, best)))
     return semantic, visual
+
+
+def loop_normalize_transitions(graph):
+    """Transition matrix by sorted loops over the edge dict, edge by edge.
+
+    Row sums accumulate in (i, j) order, the order the library's
+    array version must reproduce bit for bit.
+    """
+    n = len(graph.nodes)
+    rows, cols, vals = [], [], []
+    recip_sums = np.zeros(n)
+    ordered = sorted(graph.edges.items())
+    for (i, _j), (w, _tag) in ordered:
+        if w <= 0.0:
+            raise ValueError(f"non-positive edge weight {w} out of node {i}")
+        recip_sums[i] += 1.0 / w
+    if np.any(recip_sums == 0.0):
+        missing = int(np.argmax(recip_sums == 0.0))
+        raise ValueError(f"node {missing} has no outgoing edges")
+    for (i, j), (w, _tag) in ordered:
+        rows.append(i)
+        cols.append(j)
+        vals.append((1.0 / w) / recip_sums[i])
+    return csr_array((vals, (rows, cols)), shape=(n, n))
 
 
 def enumerate_walk(transition, start, steps):

@@ -12,6 +12,7 @@ from semwalk.encoding import (
     fisher_gradients,
     load_model,
     save_model,
+    stack,
     subsample,
     train_gmm,
     train_kmeans,
@@ -241,6 +242,30 @@ class TestDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             distance(vec([1.0]), vec([1.0, 2.0]))
+
+    def test_stacked_rows_equal_one_at_a_time(self):
+        rng = np.random.default_rng(4)
+        for dim in (1, 2, 33, 64, 640):
+            a = vec(rng.standard_normal(dim))
+            rows = [vec(rng.standard_normal(dim)) for _ in range(25)]
+            got = distance(a, stack(rows))
+            assert got.shape == (25,)
+            assert got.tolist() == [distance(a, b) for b in rows]
+            assert got.tolist() == [float(np.linalg.norm(a.values - b.values)) for b in rows]
+
+    def test_stacked_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            distance(vec([1.0], kind=BOW), stack([vec([1.0]), vec([2.0])]))
+        with pytest.raises(ValueError, match="length"):
+            distance(vec([1.0]), stack([vec([1.0, 2.0]), vec([2.0, 3.0])]))
+
+    def test_stack_rejects_mixed_or_empty(self):
+        with pytest.raises(ValueError, match="mixed encoding kinds"):
+            stack([vec([1.0]), vec([1.0], kind=BOW)])
+        with pytest.raises(ValueError, match="mixed encoding lengths"):
+            stack([vec([1.0]), vec([1.0, 2.0])])
+        with pytest.raises(ValueError, match="no encodings"):
+            stack([])
 
 
 class TestModelFiles:

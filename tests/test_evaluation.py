@@ -268,6 +268,17 @@ class TestMetrics:
             folds=[],
         )
         assert accuracy(all_right) == 1.0
+        # A stored figure that disagrees with the records must not leak
+        # through: accuracy() counts the records.
+        stale = EvalReport(
+            records=records,
+            accuracy=0.25,
+            classes=("x", "y"),
+            confusion=np.zeros((2, 2)),
+            config={},
+            folds=[],
+        )
+        assert accuracy(stale) == 0.75
 
     def test_empty_report_rejected(self):
         empty = EvalReport(

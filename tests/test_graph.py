@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import semwalk.graph
+from semwalk.encoding import DISTANCE_EPSILON
 from semwalk.graph import (
     SEMANTIC,
     VISUAL,
@@ -15,7 +17,7 @@ from semwalk.graph import (
 )
 from semwalk.semantics import VERB
 
-from _oracles import brute_force_edges
+from _oracles import brute_force_edges, loop_normalize_transitions
 from conftest import vec
 
 
@@ -65,6 +67,19 @@ def related_from_labels(labels):
     return table
 
 
+def assert_matches_oracle(nodes, m, distances):
+    """build_svg's edges and weights equal brute_force_edges over `distances`."""
+    svg = build_svg(nodes, None, VERB, m=m)
+    labels = [node.annotation for node in nodes]
+    semantic, visual = brute_force_edges(
+        distances, lambda i, j: labels[i] == labels[j], m
+    )
+    pairs = svg.undirected_pairs()
+    assert {(i, j) for i, j, _w, tag in pairs if tag == SEMANTIC} == semantic
+    assert {(i, j) for i, j, _w, tag in pairs if tag == VISUAL} == visual
+    assert all(w == float(distances[i, j]) + DISTANCE_EPSILON for i, j, w, _tag in pairs)
+
+
 class TestRanking:
     def test_global_excludes_related_pairs(self):
         # labels a,a,b; unrelated pairs are (0,2) and (1,2)
@@ -104,6 +119,27 @@ class TestRanking:
         d = np.array([[0.0, 3.0, 3.0], [3.0, 0.0, 9.0], [3.0, 9.0, 0.0]])
         rel = related_from_labels(["a", "b", "b"])
         assert rank_local(d, rel, 0) == 1
+
+    def test_tie_heavy_rankings_match_sorted_loops(self):
+        # Distances rounded to one decimal tie often; both rankings must
+        # follow (distance, index) order exactly.
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(2, 14))
+            d = np.round(rng.uniform(0.0, 0.5, size=(n, n)), 1)
+            d = np.triu(d, 1) + np.triu(d, 1).T
+            labels = [f"l{int(rng.integers(3))}" for _ in range(n)]
+            rel = related_from_labels(labels)
+            expected = sorted(
+                (d[i, j], i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if not rel[i, j]
+            )
+            assert rank_global(d, rel) == [(i, j) for _, i, j in expected]
+            for i in range(n):
+                others = [(d[i, j], j) for j in range(n) if j != i and not rel[i, j]]
+                assert rank_local(d, rel, i) == (min(others)[1] if others else None)
 
 
 class TestBuildSvg:
@@ -171,21 +207,30 @@ class TestBuildSvg:
         for _ in range(25):
             n = int(rng.integers(2, 12))
             nodes = random_nodes(rng, n, int(rng.integers(1, 4)))
-            m = int(rng.integers(0, 8))
-            svg = build_svg(nodes, None, VERB, m=m)
-            labels = [node.annotation for node in nodes]
             distances = distance_matrix([node.vector for node in nodes])
-            semantic, visual = brute_force_edges(
-                distances, lambda i, j: labels[i] == labels[j], m
-            )
-            got_semantic = {
-                (i, j) for i, j, _w, tag in svg.undirected_pairs() if tag == SEMANTIC
-            }
-            got_visual = {
-                (i, j) for i, j, _w, tag in svg.undirected_pairs() if tag == VISUAL
-            }
-            assert got_semantic == semantic
-            assert got_visual == visual
+            assert_matches_oracle(nodes, int(rng.integers(0, 8)), distances)
+
+    def test_tie_heavy_distances_match_brute_force_oracle(self, monkeypatch):
+        # Distances rounded to one decimal tie often.
+        exact = semwalk.graph.distance_matrix
+        monkeypatch.setattr(
+            semwalk.graph, "distance_matrix", lambda vectors: np.round(exact(vectors), 1)
+        )
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            n = int(rng.integers(2, 14))
+            nodes = random_nodes(rng, n, int(rng.integers(1, 4)))
+            distances = np.round(exact([node.vector for node in nodes]), 1)
+            assert_matches_oracle(nodes, int(rng.integers(0, 8)), distances)
+
+    def test_grid_points_with_exact_ties_match_brute_force_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            n = int(rng.integers(2, 14))
+            points = rng.integers(0, 3, size=(n, 2)).astype(float)
+            nodes = make_nodes(points, [f"l{int(rng.integers(3))}" for _ in range(n)])
+            distances = distance_matrix([node.vector for node in nodes])
+            assert_matches_oracle(nodes, int(rng.integers(0, 8)), distances)
 
     def test_directed_edges_mirror(self):
         rng = np.random.default_rng(5)
@@ -243,6 +288,36 @@ class TestTransitions:
         A = normalize_transitions(g)
         assert A[0, 1] > A[0, 2] > A[0, 3]
 
+    def test_bitwise_equal_to_sorted_loop_reference(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n = int(rng.integers(2, 25))
+            nodes = random_nodes(rng, n, int(rng.integers(1, 5)))
+            svg = build_svg(nodes, None, VERB, m=int(rng.integers(0, 12)))
+            got = normalize_transitions(svg)
+            expected = loop_normalize_transitions(svg)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.indptr, expected.indptr)
+            assert np.array_equal(got.indices, expected.indices)
+            assert got.data.tobytes() == expected.data.tobytes()
+
+    def test_same_bits_after_reload(self, tmp_path):
+        rng = np.random.default_rng(15)
+        svg = build_svg(random_nodes(rng, 12, 3), None, VERB, m=5)
+        save_graph(svg, tmp_path / "g.txt")
+        reloaded = normalize_transitions(load_graph(tmp_path / "g.txt"))
+        assert reloaded.data.tobytes() == normalize_transitions(svg).data.tobytes()
+
+    def test_non_positive_weight_rejected(self):
+        g = self._graph_from_edges(3, [(0, 1, 1.0), (1, 2, 0.0)])
+        with pytest.raises(ValueError, match="non-positive edge weight 0.0 out of node 1"):
+            normalize_transitions(g)
+
+    def test_node_without_edges_rejected(self):
+        g = self._graph_from_edges(3, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="node 2 has no outgoing edges"):
+            normalize_transitions(g)
+
     def test_asymmetric_in_general(self):
         g = self._graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         A = normalize_transitions(g)
@@ -282,3 +357,43 @@ class TestGraphFiles:
         save_graph(svg, tmp_path / "g.txt")
         loaded = load_graph(tmp_path / "g.txt")
         assert loaded.nodes[0].annotation == "wash up.v.3"
+
+    def _dump(self, tmp_path):
+        rng = np.random.default_rng(16)
+        svg = build_svg(random_nodes(rng, 8, 3), None, VERB, m=4)
+        path = tmp_path / "graph.txt"
+        save_graph(svg, path)
+        return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def test_truncated_edge_section_rejected(self, tmp_path):
+        path, lines = self._dump(tmp_path)
+        path.write_text("".join(lines[:-3]), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"graph\.txt: truncated: .* edge lines"):
+            load_graph(path)
+
+    def test_truncated_node_section_rejected(self, tmp_path):
+        path, lines = self._dump(tmp_path)
+        path.write_text("".join(lines[:5]), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"graph\.txt: truncated: 4 of 8 node lines"):
+            load_graph(path)
+
+    def test_line_cut_mid_edge_rejected(self, tmp_path):
+        path, lines = self._dump(tmp_path)
+        path.write_text("".join(lines)[:-6], encoding="utf-8")
+        with pytest.raises(ValueError, match=r"graph\.txt: line \d+: bad edge line"):
+            load_graph(path)
+
+    def test_trailing_lines_rejected(self, tmp_path):
+        path, lines = self._dump(tmp_path)
+        path.write_text("".join(lines + [lines[-1]]), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"graph\.txt: 1 trailing line"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("ends", ["0 8", "8 0", "-1 2", "3 3"])
+    def test_edge_ends_outside_the_graph_rejected(self, tmp_path, ends):
+        path, lines = self._dump(tmp_path)
+        fields = lines[-1].split(" ")
+        lines[-1] = " ".join([ends] + fields[2:])
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"graph\.txt: line {len(lines)}: bad edge ends {ends}$"):
+            load_graph(path)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
+from semwalk.encoding import distance
 from semwalk.graph import SvgGraph, SvgNode, build_svg, normalize_transitions
 from semwalk.inference import (
     WalkConfig,
     argmax_class,
     class_distribution,
     classify,
+    classify_batch,
     embed_query,
     markov_walk,
     query_distances,
@@ -120,6 +122,17 @@ class TestMarkovWalk:
         with pytest.raises(ValueError, match="shape"):
             markov_walk(cycle_matrix(), np.array([1.0, 0.0]), 1)
 
+    def test_block_columns_walk_as_alone(self):
+        rng = np.random.default_rng(7)
+        g = make_graph(rng.standard_normal((9, 2)), ["a", "b", "c"] * 3)
+        A = normalize_transitions(g)
+        block = rng.uniform(size=(9, 5))
+        block /= block.sum(axis=0)
+        for t in (0, 1, 4):
+            walked = markov_walk(A, block, t)
+            for k in range(5):
+                assert walked[:, k].tobytes() == markov_walk(A, block[:, k], t).tobytes()
+
 
 class TestClassDistribution:
     def test_direct_mapping(self):
@@ -148,6 +161,17 @@ class TestClassDistribution:
         classes = semantic_classes(None, {"a"}, VERB)
         with pytest.raises(ValueError, match="zz"):
             class_distribution(np.array([0.5, 0.5]), g, classes)
+
+    def test_block_gives_one_distribution_per_column(self):
+        g = make_graph([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ["a", "b", "a"])
+        classes = semantic_classes(None, {"a", "b", "c"}, VERB)
+        block = np.array([[0.1, 1.0], [0.3, 0.0], [0.6, 0.0]])
+        dists = class_distribution(block, g, classes)
+        assert dists == [
+            class_distribution(block[:, 0], g, classes),
+            class_distribution(block[:, 1], g, classes),
+        ]
+        assert list(dists[1]) == ["a", "b", "c"] and dists[1]["c"] == 0.0
 
     def test_argmax_tie_breaks_lexicographically(self):
         assert argmax_class({"b": 0.5, "a": 0.5}) == "a"
@@ -240,3 +264,69 @@ class TestClassify:
         classes = semantic_classes(None, set(labels), VERB)
         dist = class_distribution(walked, g, classes)
         assert argmax_class(dist) == label
+
+
+def random_walk_case(rng):
+    n = int(rng.integers(2, 12))
+    labels = [f"l{int(rng.integers(3))}" for _ in range(n)]
+    g = make_graph(rng.standard_normal((n, 3)), labels)
+    queries = [vec(rng.standard_normal(3)) for _ in range(int(rng.integers(1, 6)))]
+    return g, normalize_transitions(g), queries
+
+
+class TestBatch:
+    def test_query_distances_equal_pairwise_distance(self):
+        rng = np.random.default_rng(8)
+        for dim in (1, 3, 33, 64, 640):
+            nodes = [
+                SvgNode(segment_id=f"s{i}", annotation="a", vector=vec(rng.standard_normal(dim)))
+                for i in range(20)
+            ]
+            g = SvgGraph(nodes=nodes, edges={}, mode=VERB, m=0)
+            query = vec(rng.standard_normal(dim))
+            expected = [distance(query, node.vector) for node in nodes]
+            assert query_distances(g, query).tolist() == expected
+
+    def test_query_distances_need_vectors(self):
+        g = SvgGraph(
+            nodes=[SvgNode(segment_id="s0", annotation="a", vector=None)],
+            edges={}, mode=VERB, m=0,
+        )
+        with pytest.raises(ValueError, match="no vectors"):
+            query_distances(g, vec([0.0]))
+
+    def test_node_stack_is_read_only(self):
+        g = make_graph([[0.0, 0.0], [1.0, 2.0]], ["a", "b"])
+        assert g.vector_matrix is g.vector_matrix
+        assert g.vector_matrix.values.tolist() == [[0.0, 0.0], [1.0, 2.0]]
+        with pytest.raises(ValueError):
+            g.vector_matrix.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("z,t", [(1, 0), (3, 0), (2, 3), (40, 0), (40, 5)])
+    def test_batch_equals_one_query_at_a_time(self, z, t):
+        rng = np.random.default_rng(9)
+        config = WalkConfig(z=z, t=t)
+        for _ in range(15):
+            g, A, queries = random_walk_case(rng)
+            batch = classify_batch(g, A, None, VERB, queries, config)
+            assert batch == [classify(g, A, None, VERB, q, config) for q in queries]
+
+    @pytest.mark.parametrize("z,t", [(1, 0), (2, 3), (40, 5)])
+    def test_batch_equals_one_dimensional_pipeline(self, z, t):
+        rng = np.random.default_rng(10)
+        for _ in range(15):
+            g, A, queries = random_walk_case(rng)
+            classes = semantic_classes(None, {node.annotation for node in g.nodes}, VERB)
+            expected = []
+            for q in queries:
+                d = np.array([distance(q, node.vector) for node in g.nodes])
+                walked = markov_walk(A, embed_query(g, d, z).q, t)
+                dist = class_distribution(walked, g, classes)
+                expected.append((argmax_class(dist), dist))
+            got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
+            assert got == expected
+
+    def test_empty_batch(self):
+        g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "b"])
+        A = normalize_transitions(g)
+        assert classify_batch(g, A, None, VERB, [], WalkConfig()) == []
