@@ -39,25 +39,29 @@ def class_weights(priors: dict[str, float], lam: float) -> dict[str, float]:
 
 
 def knn_vote(
-    train_vectors: Sequence[EncodedVector],
+    train_vectors: Sequence[EncodedVector] | EncodedVector,
     train_labels: Sequence[str],
     query: EncodedVector,
     k: int,
 ) -> tuple[str, dict[str, float]]:
     """Majority vote over the k nearest neighbors, with vote shares.
 
-    Neighbor selection orders by (distance, index); vote ties prefer
-    the tied class with the smaller mean neighbor distance, then the
+    `train_vectors` may come already stacked (`encoding.stack`), so a
+    caller with many queries stacks the training set once.  Neighbor
+    selection orders by (distance, index); vote ties prefer the tied
+    class with the smaller mean neighbor distance, then the
     lexicographically smaller name.  k is clamped to the training size.
     """
-    if len(train_vectors) == 0:
+    stacked = isinstance(train_vectors, EncodedVector)
+    size = train_vectors.values.shape[0] if stacked else len(train_vectors)
+    if size == 0:
         raise ValueError("empty training set")
-    if len(train_vectors) != len(train_labels):
+    if size != len(train_labels):
         raise ValueError("vectors and labels differ in length")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    k = min(k, len(train_vectors))
-    dists = distance(query, stack(train_vectors))
+    k = min(k, size)
+    dists = distance(query, train_vectors if stacked else stack(train_vectors))
     order = np.argsort(dists, kind="stable")[:k]
     votes: dict[str, int] = {}
     dist_sums: dict[str, float] = {}

@@ -11,6 +11,13 @@ through signed-square-root power normalization and L2-normalized.
 Both trainers are seeded and single-threaded, so a fixed seed produces
 bit-identical models and encodings on one platform.  Trained models are
 immutable; encoding different videos in parallel is safe.
+
+Memory: training and Fisher encoding share one E-step (`_e_step`),
+whose Gaussian log-densities are computed a block of points at a time
+in a fixed 128 KiB buffer, so the largest EM temporaries are points x
+components; k-means builds one points x centers array per fit and
+reuses it.  `fisher_gradients` still builds a rows x components x dim
+array per video (50 rows per video in the benchmark shapes).
 """
 from __future__ import annotations
 
@@ -30,6 +37,11 @@ FV = "fv"
 # Reciprocal-weight normalization downstream cannot take 1/0, so zero
 # distances between duplicate vectors are floored by this epsilon.
 DISTANCE_EPSILON = 1e-12
+
+# Size, in doubles, of the buffer `_log_gaussians` reuses for each block
+# of rows: 128 KiB, which stays in cache where a whole points x
+# components x dim temporary would stream through memory.
+_BLOCK_DOUBLES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,25 +122,44 @@ def subsample(
     return np.vstack(picked)
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, points x centers."""
-    sq = (
-        np.sum(points**2, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
-    return np.maximum(sq, 0.0)
+def _point_terms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-point factors of `_squared_distances`: 2x and |x|^2."""
+    return 2.0 * points, np.sum(points**2, axis=1)[:, None]
+
+
+def _squared_distances(
+    terms: tuple[np.ndarray, np.ndarray],
+    centers: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Pairwise squared Euclidean distances, points x centers.
+
+    |x|^2 - 2x.c + |c|^2, clipped at 0, from the points' `_point_terms`
+    (taken once by callers that compare one pool against many centers),
+    built in one points x centers array, `out` if given.
+    """
+    twice, norms = terms
+    sq = np.matmul(twice, centers.T, out=out)
+    np.subtract(norms, sq, out=sq)
+    np.add(sq, np.sum(centers**2, axis=1), out=sq)
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def _kmeans_pp_init(
-    pool: np.ndarray, k: int, rng: np.random.Generator
+    pool: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    terms: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Seeded k-means++ center selection (D^2 sampling)."""
+    """Seeded k-means++ center selection (D^2 sampling).
+
+    `terms` are the pool's `_point_terms`.
+    """
     n = pool.shape[0]
     centers = np.empty((k, pool.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = pool[first]
-    closest = _squared_distances(pool, centers[:1])[:, 0]
+    closest = _squared_distances(terms, centers[:1])[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -138,7 +169,7 @@ def _kmeans_pp_init(
         probs = closest / total
         pick = int(rng.choice(n, p=probs))
         centers[j] = pool[pick]
-        closest = np.minimum(closest, _squared_distances(pool, centers[j : j + 1])[:, 0])
+        closest = np.minimum(closest, _squared_distances(terms, centers[j : j + 1])[:, 0])
     return centers
 
 
@@ -165,11 +196,13 @@ def train_kmeans(
             f"(duplicates) for {size} centers"
         )
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(pool, size, rng)
+    terms = _point_terms(pool)
+    centers = _kmeans_pp_init(pool, size, rng, terms)
+    sq = np.empty((n, size))
     inertia_history: list[float] = []
     labels = None
     for _ in range(max_iters):
-        sq = _squared_distances(pool, centers)
+        sq = _squared_distances(terms, centers, out=sq)
         new_labels = np.argmin(sq, axis=1)
         inertia_history.append(float(sq[np.arange(n), new_labels].sum()))
         if labels is not None and np.array_equal(new_labels, labels):
@@ -194,7 +227,9 @@ def encode_bow(codebook: Codebook, descriptors: np.ndarray) -> EncodedVector:
         raise ValueError(
             f"descriptor dim {descriptors.shape[1]} != codebook dim {codebook.dim}"
         )
-    labels = np.argmin(_squared_distances(descriptors, codebook.centers), axis=1)
+    labels = np.argmin(
+        _squared_distances(_point_terms(descriptors), codebook.centers), axis=1
+    )
     hist = np.bincount(labels, minlength=codebook.size).astype(np.float64)
     return EncodedVector(values=hist / hist.sum(), kind=BOW)
 
@@ -207,19 +242,55 @@ def _variance_floor(pool: np.ndarray) -> np.ndarray:
 def _log_gaussians(
     points: np.ndarray, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
-    """log N(x | mean_k, diag var_k) for every point/component pair."""
+    """log N(x | mean_k, diag var_k) for every point/component pair.
+
+    Works through the points a block of rows at a time in one reused
+    buffer of at most `_BLOCK_DOUBLES` values (one row when a single
+    row's components x dim exceeds it), so no points x components x dim
+    array is built.  Each block takes the difference, squares it,
+    divides by the variances and sums over dim, the same element-wise
+    steps and per-(point, component) reduction as one broadcast over
+    all points, hence the same bits.
+    """
+    n = points.shape[0]
+    k, dim = means.shape
     log_det = np.sum(np.log(2.0 * np.pi * variances), axis=1)
-    diff = points[:, None, :] - means[None, :, :]
-    mahalanobis = np.sum(diff**2 / variances[None, :, :], axis=2)
-    return -0.5 * (log_det[None, :] + mahalanobis)
+    rows = max(1, _BLOCK_DOUBLES // (k * dim))
+    buf = np.empty((min(rows, n), k, dim))
+    mahalanobis = np.empty((n, k))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = buf[: stop - start]
+        np.subtract(points[start:stop, None, :], means, out=block)
+        np.multiply(block, block, out=block)
+        np.divide(block, variances, out=block)
+        np.sum(block, axis=2, out=mahalanobis[start:stop])
+    mahalanobis += log_det
+    mahalanobis *= -0.5
+    return mahalanobis
+
+
+def _e_step(
+    points: np.ndarray,
+    weights: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities (rows sum to 1) and per-point log-likelihoods.
+
+    The one E-step shared by EM training and Fisher encoding; the
+    log-likelihoods come back as an n x 1 column.
+    """
+    log_joint = _log_gaussians(points, means, variances)
+    log_joint += np.log(weights)
+    log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+    log_joint -= log_norm
+    return np.exp(log_joint, out=log_joint), log_norm
 
 
 def gmm_posteriors(gmm: GmmModel, points: np.ndarray) -> np.ndarray:
     """Component responsibilities for each point (rows sum to 1)."""
-    log_joint = _log_gaussians(points, gmm.means, gmm.variances) + np.log(
-        gmm.weights
-    )
-    return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+    return _e_step(points, gmm.weights, gmm.means, gmm.variances)[0]
 
 
 def train_gmm(
@@ -251,17 +322,16 @@ def train_gmm(
     )
     weights = np.full(components, 1.0 / components)
     variances = np.tile(np.maximum(pool.var(axis=0), floor), (components, 1))
+    pool_sq = pool**2
     history: list[float] = []
     for _ in range(max_iters):
-        log_joint = _log_gaussians(pool, means, variances) + np.log(weights)
-        log_norm = logsumexp(log_joint, axis=1, keepdims=True)
-        resp = np.exp(log_joint - log_norm)
+        resp, log_norm = _e_step(pool, weights, means, variances)
         history.append(float(log_norm.mean()))
         counts = resp.sum(axis=0)
         safe = np.maximum(counts, 1e-300)
         weights = counts / n
         means = (resp.T @ pool) / safe[:, None]
-        second = (resp.T @ (pool**2)) / safe[:, None]
+        second = (resp.T @ pool_sq) / safe[:, None]
         variances = np.maximum(second - means**2, floor)
         if weights.min() <= 0.0:
             # A starved component would break the simplex invariant;
@@ -375,17 +445,51 @@ def save_model(model: Codebook | GmmModel, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _parse_model_row(path: Path, lineno: int, line: str) -> np.ndarray:
+    """One body line of a model file as finite floats."""
+    fields = line.split()
+    row = np.empty(len(fields))
+    for c, field in enumerate(fields):
+        try:
+            row[c] = float(field)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: non-numeric field {field!r}"
+            ) from None
+    if not np.all(np.isfinite(row)):
+        raise ValueError(f"{path}: line {lineno}: non-finite value")
+    return row
+
+
 def load_model(path: str | Path) -> Codebook | GmmModel:
-    """Read a model file written by save_model."""
+    """Read a model file written by save_model.
+
+    Raises a ValueError naming the file, and the line where there is
+    one, for a malformed header or body, a non-numeric or non-finite
+    value, a variance <= 0, or mixture weights that are not all
+    positive or do not sum to 1 within 1e-9.
+    """
     path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if not lines:
+    numbered = [
+        (lineno, ln)
+        for lineno, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if ln.strip()
+    ]
+    if not numbered:
         raise ValueError(f"{path}: empty model file")
-    header = lines[0].split()
+    header_line = numbered[0][1]
+    header = header_line.split()
     if len(header) != 3 or header[0] not in (BOW, FV):
-        raise ValueError(f"{path}: bad model header {lines[0]!r}")
-    kind, gamma, dim = header[0], int(header[1]), int(header[2])
-    body = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
+        raise ValueError(f"{path}: bad model header {header_line!r}")
+    kind = header[0]
+    try:
+        gamma, dim = int(header[1]), int(header[2])
+    except ValueError:
+        raise ValueError(f"{path}: non-integer model header {header_line!r}") from None
+    if gamma < 1 or dim < 1:
+        raise ValueError(f"{path}: model sizes must be >= 1, got {gamma}x{dim}")
+    linenos = [lineno for lineno, _ in numbered[1:]]
+    body = [_parse_model_row(path, lineno, ln) for lineno, ln in numbered[1:]]
     if kind == BOW:
         if len(body) != gamma or any(row.shape[0] != dim for row in body):
             raise ValueError(f"{path}: codebook body does not match header")
@@ -395,10 +499,21 @@ def load_model(path: str | Path) -> Codebook | GmmModel:
     weights = body[0]
     if weights.shape[0] != gamma:
         raise ValueError(f"{path}: expected {gamma} weights, got {weights.shape[0]}")
+    if any(row.shape[0] != dim for row in body[1:]):
+        raise ValueError(f"{path}: mixture rows do not match header dims")
+    if np.any(weights <= 0.0):
+        raise ValueError(f"{path}: line {linenos[0]}: mixture weights must be > 0")
+    total = float(weights.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(
+            f"{path}: line {linenos[0]}: mixture weights sum to {total!r}, not 1"
+        )
     means = np.vstack(body[1 : 1 + gamma])
     variances = np.vstack(body[1 + gamma :])
-    if means.shape != (gamma, dim) or variances.shape != (gamma, dim):
-        raise ValueError(f"{path}: mixture rows do not match header dims")
+    bad_rows = np.flatnonzero(np.any(variances <= 0.0, axis=1))
+    if bad_rows.size:
+        lineno = linenos[1 + gamma + bad_rows[0]]
+        raise ValueError(f"{path}: line {lineno}: variances must be > 0")
     return GmmModel(
         weights=weights, means=means, variances=variances, log_likelihood_history=[]
     )

@@ -166,8 +166,9 @@ def _classify_fold(
             svg, transitions, taxonomy, mode, queries, walk, classes=classes
         )
     elif method == KNN:
+        stacked = encoding.stack(train_vectors)
         results = [
-            baselines.knn_vote(train_vectors, train_classes, query, config.k)
+            baselines.knn_vote(stacked, train_classes, query, config.k)
             for query in queries
         ]
     elif method == LINEAR:

@@ -111,3 +111,26 @@ def random_taxonomy_lines(rng, size):
         lines.append(f"{meaning}\t{synset}\t{parent}")
         ids.append(meaning)
     return lines, ids
+
+
+def broadcast_log_gaussians(points, means, variances):
+    """log N(x | mean_k, diag var_k) from one points x components x dim
+    broadcast, the unblocked form whose bits the library's blocked
+    kernel must reproduce.
+    """
+    log_det = np.sum(np.log(2.0 * np.pi * variances), axis=1)
+    diff = points[:, None, :] - means[None, :, :]
+    mahalanobis = np.sum(diff**2 / variances[None, :, :], axis=2)
+    return -0.5 * (log_det[None, :] + mahalanobis)
+
+
+def expanded_squared_distances(points, centers):
+    """|x|^2 - 2x.c + |c|^2 clipped at 0, each term computed afresh,
+    the form whose bits the library's k-means kernel must reproduce.
+    """
+    sq = (
+        np.sum(points**2, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers**2, axis=1)[None, :]
+    )
+    return np.maximum(sq, 0.0)

@@ -9,6 +9,7 @@ from semwalk.baselines import (
     predict_linear,
     train_weighted_linear,
 )
+from semwalk.encoding import stack
 
 from conftest import vec
 
@@ -67,6 +68,25 @@ class TestKnn:
         winner, shares = knn_vote(self.vectors, self.labels, vec([2.0, 0.0]), 3)
         assert winner == "A"
         assert shares == {"A": pytest.approx(2 / 3), "B": pytest.approx(1 / 3)}
+
+    def test_stacked_training_set_same_as_list(self):
+        rng = np.random.default_rng(7)
+        vectors = [vec(rng.standard_normal(6)) for _ in range(30)]
+        labels = [f"c{i % 4}" for i in range(30)]
+        stacked = stack(vectors)
+        for _ in range(10):
+            query = vec(rng.standard_normal(6))
+            for k in (1, 5, 40):
+                assert knn_vote(stacked, labels, query, k) == knn_vote(
+                    vectors, labels, query, k
+                )
+
+    def test_stacked_training_set_checked(self):
+        stacked = stack(self.vectors)
+        with pytest.raises(ValueError, match="differ in length"):
+            knn_vote(stacked, self.labels[:3], vec([0.0, 0.0]), 1)
+        with pytest.raises(ValueError, match="k must be"):
+            knn_vote(stacked, self.labels, vec([0.0, 0.0]), 0)
 
     def test_k_clamped(self):
         assert knn_classify(self.vectors, self.labels, vec([0.0, 0.0]), 99) in {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semwalk import encoding
 from semwalk.encoding import (
     BOW,
     FV,
@@ -10,6 +11,7 @@ from semwalk.encoding import (
     encode_bow,
     encode_fisher,
     fisher_gradients,
+    gmm_posteriors,
     load_model,
     save_model,
     stack,
@@ -18,6 +20,7 @@ from semwalk.encoding import (
     train_kmeans,
 )
 
+from _oracles import broadcast_log_gaussians, expanded_squared_distances
 from conftest import vec
 
 
@@ -98,6 +101,39 @@ class TestKmeans:
         assert np.array_equal(one.centers, two.centers)
 
 
+class TestKmeansKernel:
+    @pytest.mark.parametrize("n,k,dim", [(1, 1, 1), (7, 3, 1), (200, 16, 32), (501, 64, 5)])
+    def test_squared_distances_match_expanded_form(self, n, k, dim):
+        rng = np.random.default_rng(n + k)
+        points = rng.standard_normal((n, dim)) * 4.0 + 1.0
+        centers = rng.standard_normal((k, dim)) * 4.0
+        terms = encoding._point_terms(points)
+        want = expanded_squared_distances(points, centers)
+        assert np.array_equal(encoding._squared_distances(terms, centers), want)
+        out = np.empty((n, k))
+        got = encoding._squared_distances(terms, centers, out=out)
+        assert got is out
+        assert np.array_equal(got, want)
+        column = np.empty((n, 1))
+        encoding._squared_distances(terms, centers[-1:], out=column)
+        assert np.array_equal(column, expanded_squared_distances(points, centers[-1:]))
+
+    def test_training_bit_equal_to_expanded_form(self, monkeypatch):
+        pool = np.random.default_rng(12).standard_normal((400, 6)) * 3.0
+        fast = train_kmeans(pool, 12, seed=4)
+        monkeypatch.setattr(
+            encoding,
+            "_squared_distances",
+            # Halving 2x is exact, so this recovers the points themselves.
+            lambda terms, centers, out=None: expanded_squared_distances(
+                terms[0] / 2.0, centers
+            ),
+        )
+        slow = train_kmeans(pool, 12, seed=4)
+        assert np.array_equal(fast.centers, slow.centers)
+        assert fast.inertia_history == slow.inertia_history
+
+
 class TestBow:
     book = Codebook(
         centers=np.array([[0.0, 0.0], [10.0, 0.0]]), inertia_history=[]
@@ -176,6 +212,68 @@ class TestGmm:
         assert np.array_equal(one.weights, two.weights)
         assert np.array_equal(one.means, two.means)
         assert np.array_equal(one.variances, two.variances)
+
+
+def _block_rows(k, dim):
+    return max(1, encoding._BLOCK_DOUBLES // (k * dim))
+
+
+class TestLogGaussians:
+    @pytest.mark.parametrize(
+        "n,k,dim",
+        [
+            (2 * _block_rows(10, 32) + 7, 10, 32),  # not a multiple of the block
+            (_block_rows(10, 32) - 1, 10, 32),  # less than one block
+            (1, 10, 32),
+            (5, 160, 128),  # components x dim exceeds the buffer: one row a block
+            (_block_rows(4, 1) + 3, 4, 1),
+        ],
+    )
+    def test_blocked_bit_equal_to_broadcast(self, n, k, dim):
+        rng = np.random.default_rng(n * k + dim)
+        points = rng.standard_normal((n, dim)) * 3.0
+        means = rng.standard_normal((k, dim))
+        variances = rng.random((k, dim)) + 0.05
+        got = encoding._log_gaussians(points, means, variances)
+        assert got.shape == (n, k)
+        assert np.array_equal(got, broadcast_log_gaussians(points, means, variances))
+
+    def test_one_row_blocks_when_components_times_dim_exceed_buffer(self):
+        assert 160 * 128 > encoding._BLOCK_DOUBLES
+        assert _block_rows(160, 128) == 1
+
+    def test_training_bit_equal_to_broadcast(self, monkeypatch):
+        pool = np.random.default_rng(31).standard_normal((700, 8)) * 2.0
+        fast = train_gmm(pool, 5, seed=2, max_iters=40)
+        monkeypatch.setattr(encoding, "_log_gaussians", broadcast_log_gaussians)
+        slow = train_gmm(pool, 5, seed=2, max_iters=40)
+        assert np.array_equal(fast.weights, slow.weights)
+        assert np.array_equal(fast.means, slow.means)
+        assert np.array_equal(fast.variances, slow.variances)
+        assert fast.log_likelihood_history == slow.log_likelihood_history
+
+    def test_posteriors_are_the_training_e_step(self, monkeypatch):
+        pool = np.random.default_rng(32).standard_normal((300, 4))
+        seen = []
+        e_step = encoding._e_step
+
+        def recording(points, weights, means, variances):
+            resp, log_norm = e_step(points, weights, means, variances)
+            seen.append((weights, means, variances, resp.copy()))
+            return resp, log_norm
+
+        monkeypatch.setattr(encoding, "_e_step", recording)
+        train_gmm(pool, 3, seed=1, max_iters=5)
+        monkeypatch.undo()
+        assert len(seen) == 5
+        for weights, means, variances, resp in seen:
+            gmm = GmmModel(
+                weights=weights,
+                means=means,
+                variances=variances,
+                log_likelihood_history=[],
+            )
+            assert np.array_equal(gmm_posteriors(gmm, pool), resp)
 
 
 class TestFisher:
@@ -294,3 +392,50 @@ class TestModelFiles:
         path.write_text("nonsense 1 2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
             load_model(path)
+
+    GMM_TEXT = "fv 2 2\n0.25 0.75\n0.0 1.0\n2.0 3.0\n1.0 1.0\n0.5 2.0\n"
+
+    def _rejected(self, tmp_path, text, match):
+        path = tmp_path / "model.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=match) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+        return str(err.value)
+
+    def test_valid_mixture_text_loads(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(self.GMM_TEXT, encoding="utf-8")
+        gmm = load_model(path)
+        assert np.array_equal(gmm.weights, [0.25, 0.75])
+        assert np.array_equal(gmm.variances, [[1.0, 1.0], [0.5, 2.0]])
+
+    def test_non_integer_header(self, tmp_path):
+        self._rejected(tmp_path, "fv 2.5 2\n", "non-integer model header")
+
+    def test_non_numeric_field(self, tmp_path):
+        text = self.GMM_TEXT.replace("2.0 3.0", "2.0 x3")
+        message = self._rejected(tmp_path, text, "non-numeric field 'x3'")
+        assert "line 4" in message
+
+    def test_non_finite_value(self, tmp_path):
+        self._rejected(tmp_path, self.GMM_TEXT.replace("0.0 1.0", "nan 1.0"), "non-finite")
+        self._rejected(tmp_path, "bow 1 2\ninf 0.0\n", "line 2: non-finite")
+
+    def test_ragged_mixture_rows(self, tmp_path):
+        text = self.GMM_TEXT.replace("2.0 3.0", "2.0")
+        self._rejected(tmp_path, text, "mixture rows do not match header dims")
+
+    def test_non_positive_variance(self, tmp_path):
+        # A zero variance used to load and then encode to NaN Fisher vectors.
+        text = self.GMM_TEXT.replace("0.5 2.0", "0.0 2.0")
+        message = self._rejected(tmp_path, text, "variances must be > 0")
+        assert "line 6" in message
+
+    def test_non_positive_weight(self, tmp_path):
+        text = self.GMM_TEXT.replace("0.25 0.75", "0.0 1.0")
+        self._rejected(tmp_path, text, "weights must be > 0")
+
+    def test_weights_not_summing_to_one(self, tmp_path):
+        text = self.GMM_TEXT.replace("0.25 0.75", "0.75 0.75")
+        self._rejected(tmp_path, text, "weights sum to 1.5")
