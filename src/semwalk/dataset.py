@@ -8,7 +8,9 @@ tab-separated fields::
 ``-`` marks a missing meaning annotation, lines starting with ``#`` are
 comments.  Descriptor paths are resolved relative to the manifest's
 directory.  A descriptor file starts with a ``rows dim`` header line
-followed by ``rows`` lines of ``dim`` space-separated reals.
+followed by ``rows`` lines of ``dim`` whitespace-separated finite reals;
+blank lines are skipped.  A malformed file raises a ValueError naming
+the file and, for a bad body line, the line.
 
 Descriptor loading is lazy: segments only name their file until the
 matrix is first requested, after which it is cached.  Datasets and
@@ -133,7 +135,14 @@ class Dataset:
 
 
 def read_descriptor_file(path: str | Path) -> DescriptorSet:
-    """Parse one descriptor file; rejects short/long bodies and non-finite values."""
+    """Parse one descriptor file; rejects short/long bodies and non-finite values.
+
+    The body is parsed in one `np.loadtxt` call.  Any body that call
+    refuses or returns in the wrong shape or with a non-finite value is
+    parsed again line by line with `float()`, which accepts the same
+    tokens and more (``1_0``, non-ASCII digits) and makes every error
+    message, naming the file and the line.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -151,18 +160,45 @@ def read_descriptor_file(path: str | Path) -> DescriptorSet:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != rows:
         raise ValueError(f"{path}: header declares {rows} rows, body has {len(body)}")
+    try:
+        values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (rows, dim) or not np.all(np.isfinite(values)):
+        values = _parse_descriptor_rows(path, lines, rows, dim)
+    return DescriptorSet(values=values)
+
+
+def _parse_descriptor_rows(
+    path: Path, lines: list[str], rows: int, dim: int
+) -> np.ndarray:
+    """The descriptor body token by token; raises at the first bad line."""
     values = np.empty((rows, dim), dtype=np.float64)
-    for r, line in enumerate(body):
+    linenos = []
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
+        if not parts:
+            continue
+        r = len(linenos)
         if len(parts) != dim:
             raise ValueError(
-                f"{path}: row {r + 1} has {len(parts)} values, expected {dim}"
+                f"{path}: line {lineno}: row {r + 1} has {len(parts)} values, "
+                f"expected {dim}"
             )
         for c, token in enumerate(parts):
-            values[r, c] = float(token)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: descriptor file contains non-finite values")
-    return DescriptorSet(values=values)
+            try:
+                values[r, c] = float(token)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: row {r + 1}: non-numeric value {token!r}"
+                ) from None
+        linenos.append(lineno)
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{path}: line {linenos[bad[0]]}: row {bad[0] + 1}: non-finite value"
+        )
+    return values
 
 
 def write_descriptor_file(path: str | Path, values: np.ndarray) -> None:

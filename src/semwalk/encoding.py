@@ -15,9 +15,11 @@ immutable; encoding different videos in parallel is safe.
 Memory: training and Fisher encoding share one E-step (`_e_step`),
 whose Gaussian log-densities are computed a block of points at a time
 in a fixed 128 KiB buffer, so the largest EM temporaries are points x
-components; k-means builds one points x centers array per fit and
-reuses it.  `fisher_gradients` still builds a rows x components x dim
-array per video (50 rows per video in the benchmark shapes).
+components; its log-normalizer is scipy's logsumexp algorithm in plain
+numpy (`_logsumexp_rows`).  k-means builds one points x centers array
+per fit and reuses it, and each center update sorts the pool by label
+once.  `fisher_gradients` still builds a rows x components x dim array
+per video (50 rows per video in the benchmark shapes).
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataset import atomic_write_text
 
@@ -208,13 +209,23 @@ def train_kmeans(
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(size):
-            members = pool[labels == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
-            # An empty cluster keeps its previous center; inertia is
-            # unaffected since no point is assigned to it.
+        _update_centers(pool, labels, centers)
     return Codebook(centers=centers, inertia_history=inertia_history)
+
+
+def _update_centers(pool: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
+    """Move each center to the mean of the points labelled with it, in place.
+
+    One stable sort by label makes each cluster's members, in pool
+    order, a contiguous slice: the rows a mask per center would pick,
+    so the same means.  An empty cluster keeps its previous center;
+    inertia is unaffected since no point is assigned to it.
+    """
+    order = np.argsort(labels, kind="stable")
+    members = pool[order]
+    bounds = np.searchsorted(labels[order], np.arange(centers.shape[0] + 1))
+    for j in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        centers[j] = members[bounds[j] : bounds[j + 1]].mean(axis=0)
 
 
 def encode_bow(codebook: Codebook, descriptors: np.ndarray) -> EncodedVector:
@@ -283,9 +294,27 @@ def _e_step(
     """
     log_joint = _log_gaussians(points, means, variances)
     log_joint += np.log(weights)
-    log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+    log_norm = _logsumexp_rows(log_joint)
     log_joint -= log_norm
     return np.exp(log_joint, out=log_joint), log_norm
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) as an n x 1 column.
+
+    The algorithm of `scipy.special.logsumexp` (scipy >= 1.15) without
+    its array-API dispatch, so the bits are the same: the row maxima
+    are taken out of the sum, counted as m, and added back as
+    log1p(s / m) + log(m) + max.
+    """
+    a_max = np.max(a, axis=1, keepdims=True)
+    is_max = a == a_max
+    shifted = np.subtract(a, a_max)
+    np.exp(shifted, out=shifted)
+    shifted[is_max] = 0.0
+    s = np.sum(shifted, axis=1, keepdims=True)
+    m = np.count_nonzero(is_max, axis=1, keepdims=True).astype(np.float64)
+    return np.log1p(s / m) + np.log(m) + a_max
 
 
 def gmm_posteriors(gmm: GmmModel, points: np.ndarray) -> np.ndarray:
@@ -517,11 +546,6 @@ def load_model(path: str | Path) -> Codebook | GmmModel:
     return GmmModel(
         weights=weights, means=means, variances=variances, log_likelihood_history=[]
     )
-
-
-def encoder_kind(model: Codebook | GmmModel) -> str:
-    """The EncodedVector kind a model produces."""
-    return BOW if isinstance(model, Codebook) else FV
 
 
 def encode(model: Codebook | GmmModel, descriptors: np.ndarray) -> EncodedVector:

@@ -21,6 +21,7 @@ freely across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -84,6 +85,19 @@ class SvgGraph:
         stacked = stack([node.vector for node in self.nodes])
         stacked.values.flags.writeable = False
         return stacked
+
+    @cached_property
+    def annotation_codes(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """Distinct node annotations in first-appearance order, and each
+        node's index into them (read-only), built on first use."""
+        index: dict[str, int] = {}
+        codes = np.fromiter(
+            (index.setdefault(node.annotation, len(index)) for node in self.nodes),
+            dtype=np.intp,
+            count=len(self.nodes),
+        )
+        codes.flags.writeable = False
+        return tuple(index), codes
 
 
 def distance_matrix(vectors: Sequence[EncodedVector]) -> np.ndarray:
@@ -245,12 +259,27 @@ def save_graph(graph: SvgGraph, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _header_count(path: Path, lineno: int, field: str, what: str) -> int:
+    """A non-negative integer from a graph-dump header."""
+    try:
+        value = int(field)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: non-integer {what} {field!r}") from None
+    if value < 0:
+        raise ValueError(f"{path}: line {lineno}: {what} must be >= 0, got {value}")
+    return value
+
+
 def load_graph(path: str | Path) -> SvgGraph:
     """Rebuild graph structure from a save_graph dump (vectors are None).
 
     The node and edge counts the dump declares must match its lines
-    exactly: a truncated dump or one with trailing lines is rejected,
-    as is an edge line whose ends are not two distinct nodes.
+    exactly: a truncated dump or one with trailing lines is rejected.
+    So are a non-integer count, node index or edge end, an edge whose
+    ends are not two distinct nodes, a weight that is not a finite
+    number > 0, and an edge listed twice in either direction.  Every
+    error is a ValueError naming the file and, where there is one, the
+    line.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -259,7 +288,8 @@ def load_graph(path: str | Path) -> SvgGraph:
     header = lines[0].split()
     if len(header) != 6 or header[0] != "nodes" or header[2] != "mode" or header[4] != "m":
         raise ValueError(f"{path}: bad graph header {lines[0]!r}")
-    count, mode, m = int(header[1]), header[3], int(header[5])
+    count = _header_count(path, 1, header[1], "node count")
+    mode, m = header[3], _header_count(path, 1, header[5], "m")
     if len(lines) < 2 + count:
         raise ValueError(
             f"{path}: truncated: {min(len(lines) - 1, count)} of {count} node lines "
@@ -272,13 +302,15 @@ def load_graph(path: str | Path) -> SvgGraph:
         if len(fields) != 3:
             raise ValueError(f"{path}: line {lineno}: bad node line {line!r}")
         idx, segment_id, annotation = fields
-        if int(idx) != len(nodes):
-            raise ValueError(f"{path}: node indexes out of order at {line!r}")
+        if idx != str(len(nodes)):
+            raise ValueError(
+                f"{path}: line {lineno}: node index {idx!r}, expected {len(nodes)}"
+            )
         nodes.append(SvgNode(segment_id=segment_id, annotation=annotation, vector=None))
     edge_header = lines[1 + count].split()
     if len(edge_header) != 2 or edge_header[0] != "edges":
         raise ValueError(f"{path}: bad edge header {lines[1 + count]!r}")
-    edge_count = int(edge_header[1])
+    edge_count = _header_count(path, 2 + count, edge_header[1], "edge count")
     edge_lines = lines[2 + count :]
     if len(edge_lines) < edge_count:
         raise ValueError(
@@ -294,9 +326,19 @@ def load_graph(path: str | Path) -> SvgGraph:
         fields = line.split()
         if len(fields) != 4 or fields[3] not in (SEMANTIC, VISUAL):
             raise ValueError(f"{path}: line {lineno}: bad edge line {line!r}")
-        i, j, w, tag = int(fields[0]), int(fields[1]), float(fields[2]), fields[3]
+        try:
+            i, j, w = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: bad edge line {line!r}") from None
+        tag = fields[3]
         if not (0 <= i < count and 0 <= j < count and i != j):
             raise ValueError(f"{path}: line {lineno}: bad edge ends {i} {j}")
+        if not (w > 0.0 and math.isfinite(w)):
+            raise ValueError(
+                f"{path}: line {lineno}: edge weight must be finite and > 0, got {w!r}"
+            )
+        if (i, j) in edges:
+            raise ValueError(f"{path}: line {lineno}: duplicate edge {i} {j}")
         edges[(i, j)] = (w, tag)
         edges[(j, i)] = (w, tag)
     return SvgGraph(nodes=nodes, edges=edges, mode=mode, m=m)

@@ -14,6 +14,9 @@ z-nearest-neighbor voting over classes.
 Many queries are classified as one block: each is embedded on its own,
 then one walk moves all start vectors at once as the columns of an
 n x k matrix.  Each column gets exactly the floats it would get alone.
+A walk takes the transpose of the transition matrix once and applies
+it t times; the node -> class index comes from the graph's annotation
+codes, so each call maps only the graph's distinct annotations.
 
 Everything here is a pure function of immutable inputs; queries may be
 classified concurrently without coordination.
@@ -94,8 +97,9 @@ def markov_walk(A: csr_array, q: np.ndarray, t: int) -> np.ndarray:
     if A.shape[0] != A.shape[1] or A.shape[0] != q.shape[0]:
         raise ValueError(f"shape mismatch: A is {A.shape}, q has {q.shape[0]}")
     out = q.copy()
+    AT = A.T
     for _ in range(t):
-        out = A.T @ out
+        out = AT @ out
     return out
 
 
@@ -115,14 +119,18 @@ def class_distribution(
     mapping = semantics.class_map(classes)
     names = [component[0] for component in classes]
     position = {name: c for c, name in enumerate(names)}
-    node_class = np.empty(len(graph.nodes), dtype=np.intp)
-    for idx, node in enumerate(graph.nodes):
-        name = mapping.get(node.annotation)
+    # Annotations in first-appearance order, so the first one missing is
+    # the first node's in node order.
+    annotations, codes = graph.annotation_codes
+    annotation_class = np.empty(len(annotations), dtype=np.intp)
+    for c, annotation in enumerate(annotations):
+        name = mapping.get(annotation)
         if name is None:
             raise ValueError(
-                f"node annotation {node.annotation!r} missing from class partition"
+                f"node annotation {annotation!r} missing from class partition"
             )
-        node_class[idx] = position[name]
+        annotation_class[c] = position[name]
+    node_class = annotation_class[codes]
     # bincount adds each class's nodes in index order, starting from 0.
     out = []
     for column in node_dist.T if node_dist.ndim == 2 else [node_dist]:
@@ -162,7 +170,7 @@ def classify_batch(
     """
     if classes is None:
         classes = semantics.semantic_classes(
-            taxonomy, {node.annotation for node in graph.nodes}, mode
+            taxonomy, graph.annotation_codes[0], mode
         )
     if not query_vectors:
         return []

@@ -134,3 +134,68 @@ def expanded_squared_distances(points, centers):
         + np.sum(centers**2, axis=1)[None, :]
     )
     return np.maximum(sq, 0.0)
+
+
+def loop_read_descriptor_file(path):
+    """Descriptor matrix parsed line by line and token by token with
+    `float()`, the reader whose values and error messages the library's
+    one-call parse must reproduce.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty descriptor file")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ValueError(f"{path}: header must be 'rows dim', got {lines[0]!r}")
+    try:
+        rows, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"{path}: non-integer header {lines[0]!r}") from None
+    if rows < 1 or dim < 1:
+        raise ValueError(f"{path}: rows and dim must be >= 1, got {rows}x{dim}")
+    body = [
+        (lineno, line.split())
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
+    if len(body) != rows:
+        raise ValueError(f"{path}: header declares {rows} rows, body has {len(body)}")
+    values = []
+    for r, (lineno, tokens) in enumerate(body):
+        if len(tokens) != dim:
+            raise ValueError(
+                f"{path}: line {lineno}: row {r + 1} has {len(tokens)} values, "
+                f"expected {dim}"
+            )
+        row = []
+        for token in tokens:
+            try:
+                row.append(float(token))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: row {r + 1}: non-numeric value {token!r}"
+                ) from None
+        values.append(row)
+    for r, (lineno, _tokens) in enumerate(body):
+        if not all(np.isfinite(v) for v in values[r]):
+            raise ValueError(f"{path}: line {lineno}: row {r + 1}: non-finite value")
+    return np.array(values, dtype=np.float64)
+
+
+def mask_update_centers(pool, labels, centers):
+    """k-means center update with one boolean mask per center, in place,
+    the form whose bits the library's sorted-slice update must reproduce.
+    """
+    for j in range(centers.shape[0]):
+        members = pool[labels == j]
+        if members.shape[0] > 0:
+            centers[j] = members.mean(axis=0)
+
+
+def loop_markov_walk(transition, start, steps):
+    """Walk that transposes the matrix afresh on every step."""
+    out = np.array(start, dtype=np.float64)
+    for _ in range(steps):
+        out = transition.T @ out
+    return out

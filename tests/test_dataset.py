@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from semwalk.dataset import (
     parse_manifest,
@@ -10,6 +14,7 @@ from semwalk.dataset import (
     write_descriptor_file,
 )
 
+from _oracles import loop_read_descriptor_file
 from conftest import write_manifest
 
 
@@ -120,6 +125,32 @@ class TestDescriptorFiles:
         with pytest.raises(ValueError, match="row 1 has 2"):
             read_descriptor_file(path)
 
+    def test_bad_token_names_file_line_row_and_token(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("2 2\n0.5 1.0\n\n1 abc\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=r"d\.txt: line 4: row 2: non-numeric value 'abc'$"
+        ):
+            read_descriptor_file(path)
+
+    def test_width_mismatch_names_line(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("2 2\n\n0.5 1.0\n1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"d\.txt: line 4: row 2 has 1 values"):
+            read_descriptor_file(path)
+
+    def test_non_finite_names_line(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("2 2\n0.5 1.0\n1e999 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"d\.txt: line 3: row 2: non-finite"):
+            read_descriptor_file(path)
+
+    def test_tokens_only_float_accepts_still_parse(self, tmp_path):
+        # numpy's parser refuses these; the line loop takes them as float() does.
+        path = tmp_path / "d.txt"
+        path.write_text("1 3\n1_0 \u0661\u0662 0.25\n", encoding="utf-8")
+        assert read_descriptor_file(path).values.tolist() == [[10.0, 12.0, 0.25]]
+
     def test_round_trip(self, tmp_path):
         values = np.random.default_rng(0).standard_normal((5, 3))
         path = tmp_path / "d.txt"
@@ -143,6 +174,95 @@ class TestDescriptorFiles:
         ds.load_descriptors(ds.segments[0])
         with pytest.raises(ValueError, match="does not match dataset dim"):
             ds.load_descriptors(ds.segments[1])
+
+
+_BLANKS = ["", " ", "\t", " \t  "]
+_SEPARATORS = [" ", "  ", "\t", " \t "]
+
+
+@st.composite
+def descriptor_texts(draw):
+    """A descriptor file as `write_descriptor_file` writes it, with
+    random blank and whitespace-only lines, separators and line ends."""
+    rows = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 4))
+    values = draw(
+        st.lists(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim
+            ),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{rows} {dim}"]
+    for row in values:
+        lines.extend(draw(st.lists(st.sampled_from(_BLANKS), max_size=2)))
+        tokens = [repr(v) for v in row]
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += draw(st.sampled_from(_SEPARATORS)) + token
+        pad = draw(st.sampled_from(_BLANKS))
+        lines.append(pad + line + draw(st.sampled_from(_BLANKS)))
+    lines.extend(draw(st.lists(st.sampled_from(_BLANKS), max_size=2)))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _corrupt(text, kind, position):
+    """Apply one corruption to a body token (or cut the file) at a
+    position chosen as a fraction of the tokens (or of the text)."""
+    if kind == "truncate":
+        return text[: int(position * len(text))]
+    body_start = text.index("\n") + 1
+    spans = [m.span() for m in re.finditer(r"\S+", text[body_start:])]
+    start, end = spans[int(position * len(spans))]
+    start, end = start + body_start, end + body_start
+    if kind == "drop":
+        return text[:start] + text[end:]
+    if kind == "add":
+        return text[:end] + " 0.5" + text[end:]
+    return text[:start] + kind + text[end:]  # a bad, not-a-number or infinite token
+
+
+def _outcome(reader, path):
+    try:
+        return "ok", reader(path).tobytes()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+_ONE_FILE = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestDescriptorParseOracle:
+    """`read_descriptor_file` against the token-by-token loop, bit for bit."""
+
+    @_ONE_FILE
+    @given(text=descriptor_texts())
+    def test_values_bit_equal_to_loop(self, tmp_path, text):
+        path = tmp_path / "d.txt"
+        path.write_bytes(text.encode("utf-8"))
+        got = read_descriptor_file(path).values
+        want = loop_read_descriptor_file(path)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @_ONE_FILE
+    @given(
+        text=descriptor_texts(),
+        kind=st.sampled_from(["drop", "add", "truncate", "abc", "nan", "-inf", "1e999"]),
+        position=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_corrupted_bodies_fail_as_the_loop_does(self, tmp_path, text, kind, position):
+        path = tmp_path / "d.txt"
+        path.write_bytes(_corrupt(text, kind, position).encode("utf-8"))
+        outcome = _outcome(lambda p: read_descriptor_file(p).values, path)
+        assert outcome == _outcome(loop_read_descriptor_file, path)
+        if kind != "truncate":
+            assert outcome[0] == "error"
 
 
 class TestSplitLopo:

@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from semwalk import encoding
 from semwalk.encoding import (
@@ -20,7 +25,11 @@ from semwalk.encoding import (
     train_kmeans,
 )
 
-from _oracles import broadcast_log_gaussians, expanded_squared_distances
+from _oracles import (
+    broadcast_log_gaussians,
+    expanded_squared_distances,
+    mask_update_centers,
+)
 from conftest import vec
 
 
@@ -131,6 +140,29 @@ class TestKmeansKernel:
         )
         slow = train_kmeans(pool, 12, seed=4)
         assert np.array_equal(fast.centers, slow.centers)
+        assert fast.inertia_history == slow.inertia_history
+
+
+class TestKmeansUpdate:
+    def test_update_bit_equal_to_mask_per_center(self):
+        rng = np.random.default_rng(13)
+        pool = rng.standard_normal((500, 7)) * 3.0
+        labels = rng.integers(0, 12, size=500)
+        labels[labels == 3] = 4  # two empty clusters, one of them the last
+        labels[labels == 11] = 0
+        centers = rng.standard_normal((12, 7))
+        want = centers.copy()
+        mask_update_centers(pool, labels, want)
+        encoding._update_centers(pool, labels, centers)
+        assert centers.tobytes() == want.tobytes()
+        assert not np.any(labels == 3) and not np.any(labels == 11)
+
+    def test_training_bit_equal_to_mask_per_center(self, monkeypatch):
+        pool = np.random.default_rng(14).standard_normal((900, 8)) * 2.0
+        fast = train_kmeans(pool, 24, seed=3)
+        monkeypatch.setattr(encoding, "_update_centers", mask_update_centers)
+        slow = train_kmeans(pool, 24, seed=3)
+        assert fast.centers.tobytes() == slow.centers.tobytes()
         assert fast.inertia_history == slow.inertia_history
 
 
@@ -274,6 +306,76 @@ class TestLogGaussians:
                 log_likelihood_history=[],
             )
             assert np.array_equal(gmm_posteriors(gmm, pool), resp)
+
+
+def _scipy_log_norm(points, weights, means, variances):
+    log_joint = broadcast_log_gaussians(points, means, variances) + np.log(weights)
+    return logsumexp(log_joint, axis=1, keepdims=True)
+
+
+@pytest.mark.skipif(
+    tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 15),
+    reason="scipy before 1.15 computed logsumexp by another algorithm",
+)
+class TestLogNormalizer:
+    """`_e_step`'s log-normalizer against the installed scipy, bit for bit."""
+
+    def _check(self, points, weights, means, variances):
+        _resp, log_norm = encoding._e_step(points, weights, means, variances)
+        want = _scipy_log_norm(points, weights, means, variances)
+        assert log_norm.shape == want.shape == (points.shape[0], 1)
+        assert log_norm.tobytes() == want.tobytes()
+
+    def test_random_mixture(self):
+        rng = np.random.default_rng(40)
+        weights = rng.random(10) + 0.1
+        self._check(
+            rng.standard_normal((300, 32)) * 2.0,
+            weights / weights.sum(),
+            rng.standard_normal((10, 32)),
+            rng.random((10, 32)) + 0.05,
+        )
+
+    def test_tied_maxima(self):
+        rng = np.random.default_rng(41)
+        means = rng.standard_normal((4, 3))
+        means[2] = means[0]  # components 0 and 2 tie on every point
+        variances = np.ones((4, 3))
+        points = rng.standard_normal((50, 3))
+        points[:5] = 0.0
+        log_joint = broadcast_log_gaussians(points, means, variances)
+        tied = np.sum(log_joint == log_joint.max(axis=1, keepdims=True), axis=1) > 1
+        assert tied.sum() >= 5
+        self._check(points, np.full(4, 0.25), means, variances)
+
+    def test_one_component(self):
+        rng = np.random.default_rng(42)
+        self._check(
+            rng.standard_normal((40, 5)), np.ones(1), rng.standard_normal((1, 5)), np.ones((1, 5))
+        )
+
+    def test_tiny_weight(self):
+        rng = np.random.default_rng(43)
+        weights = np.array([1e-300, 0.5, 0.5])
+        self._check(
+            rng.standard_normal((60, 4)),
+            weights,
+            rng.standard_normal((3, 4)),
+            rng.random((3, 4)) + 0.1,
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+            elements=st.floats(-800.0, 50.0).map(lambda v: round(v, 1)),
+        )
+    )
+    def test_rows_bit_equal_to_scipy(self, a):
+        # Rounded elements make exact ties within a row common.
+        want = logsumexp(a, axis=1, keepdims=True)
+        assert encoding._logsumexp_rows(a).tobytes() == want.tobytes()
 
 
 class TestFisher:

@@ -397,3 +397,85 @@ class TestGraphFiles:
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=rf"graph\.txt: line {len(lines)}: bad edge ends {ends}$"):
             load_graph(path)
+
+    def _rewrite(self, tmp_path, edit):
+        path, lines = self._dump(tmp_path)
+        edit(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+        return path, len(lines)
+
+    @pytest.mark.parametrize(
+        "header,what",
+        [("nodes x mode verb m 4", "node count 'x'"), ("nodes 8 mode verb m 4.0", "m '4.0'")],
+    )
+    def test_non_integer_header_count_rejected(self, tmp_path, header, what):
+        def edit(lines):
+            lines[0] = header + "\n"
+
+        path, _n = self._rewrite(tmp_path, edit)
+        with pytest.raises(ValueError, match=rf"graph\.txt: line 1: non-integer {what}$"):
+            load_graph(path)
+
+    def test_negative_node_count_rejected(self, tmp_path):
+        def edit(lines):
+            lines[0] = lines[0].replace("nodes 8", "nodes -1")
+
+        path, _n = self._rewrite(tmp_path, edit)
+        with pytest.raises(ValueError, match=r"graph\.txt: line 1: node count must be >= 0"):
+            load_graph(path)
+
+    def test_non_integer_edge_count_rejected(self, tmp_path):
+        def edit(lines):
+            lines[9] = "edges many\n"
+
+        path, _n = self._rewrite(tmp_path, edit)
+        with pytest.raises(
+            ValueError, match=r"graph\.txt: line 10: non-integer edge count 'many'$"
+        ):
+            load_graph(path)
+
+    def test_non_integer_node_index_rejected(self, tmp_path):
+        def edit(lines):
+            lines[3] = "two" + lines[3][1:]
+
+        path, _n = self._rewrite(tmp_path, edit)
+        with pytest.raises(
+            ValueError, match=r"graph\.txt: line 4: node index 'two', expected 2$"
+        ):
+            load_graph(path)
+
+    @pytest.mark.parametrize("field,value", [(0, "x"), (1, "1.5"), (2, "abc")])
+    def test_non_numeric_edge_field_rejected(self, tmp_path, field, value):
+        def edit(lines):
+            fields = lines[-1].split(" ")
+            fields[field] = value
+            lines[-1] = " ".join(fields)
+
+        path, n = self._rewrite(tmp_path, edit)
+        with pytest.raises(ValueError, match=rf"graph\.txt: line {n}: bad edge line"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0.0", "-1.5"])
+    def test_non_finite_or_non_positive_weight_rejected(self, tmp_path, weight):
+        def edit(lines):
+            fields = lines[-1].split(" ")
+            fields[2] = weight
+            lines[-1] = " ".join(fields)
+
+        path, n = self._rewrite(tmp_path, edit)
+        with pytest.raises(
+            ValueError,
+            match=rf"graph\.txt: line {n}: edge weight must be finite and > 0, got ",
+        ):
+            load_graph(path)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_duplicate_edge_rejected(self, tmp_path, reverse):
+        def edit(lines):
+            i, j, _w, _tag = lines[-2].split()
+            ends = f"{j} {i}" if reverse else f"{i} {j}"
+            lines[-1] = f"{ends} 2.0 visual\n"
+
+        path, n = self._rewrite(tmp_path, edit)
+        with pytest.raises(ValueError, match=rf"graph\.txt: line {n}: duplicate edge "):
+            load_graph(path)

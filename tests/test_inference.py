@@ -16,7 +16,7 @@ from semwalk.inference import (
 )
 from semwalk.semantics import VERB, semantic_classes
 
-from _oracles import enumerate_walk
+from _oracles import enumerate_walk, loop_markov_walk
 from conftest import vec
 
 
@@ -134,6 +134,20 @@ class TestMarkovWalk:
                 assert walked[:, k].tobytes() == markov_walk(A, block[:, k], t).tobytes()
 
 
+    @pytest.mark.parametrize("t", [0, 1, 3, 8])
+    def test_bit_equal_to_transpose_per_step(self, t):
+        rng = np.random.default_rng(8)
+        g = make_graph(rng.standard_normal((40, 3)), ["a", "b", "c", "d"] * 10)
+        A = normalize_transitions(g)
+        single = rng.uniform(size=40)
+        block = rng.uniform(size=(40, 6))
+        for q in (single / single.sum(), block / block.sum(axis=0)):
+            got = markov_walk(A, q, t)
+            want = loop_markov_walk(A, q, t)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestClassDistribution:
     def test_direct_mapping(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "b"])
@@ -161,6 +175,24 @@ class TestClassDistribution:
         classes = semantic_classes(None, {"a"}, VERB)
         with pytest.raises(ValueError, match="zz"):
             class_distribution(np.array([0.5, 0.5]), g, classes)
+
+    @pytest.mark.parametrize(
+        "labels,first",
+        [(["a", "zz", "b", "yy"], "zz"), (["yy", "a", "zz", "yy"], "yy"), (["a", "b", "zz", "zz"], "zz")],
+    )
+    def test_names_the_first_missing_node_annotation(self, labels, first):
+        g = make_graph([[float(i), 0.0] for i in range(4)], labels)
+        classes = semantic_classes(None, {"a", "b"}, VERB)
+        with pytest.raises(ValueError, match=rf"^node annotation '{first}' missing"):
+            class_distribution(np.full(4, 0.25), g, classes)
+
+    def test_annotation_codes_in_first_appearance_order(self):
+        g = make_graph([[float(i), 0.0] for i in range(5)], ["c", "a", "c", "b", "a"])
+        annotations, codes = g.annotation_codes
+        assert annotations == ("c", "a", "b")
+        assert codes.tolist() == [0, 1, 0, 2, 1]
+        assert g.annotation_codes is g.annotation_codes
+        assert not codes.flags.writeable
 
     def test_block_gives_one_distribution_per_column(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ["a", "b", "a"])
