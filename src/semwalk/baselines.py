@@ -16,6 +16,9 @@ import numpy as np
 
 from .encoding import EncodedVector, distance, stack
 
+# L2 shrink applied to the scorers at every SGD step.
+REG = 1e-4
+
 
 def class_priors(labels: Sequence[str]) -> dict[str, float]:
     """Empirical class frequencies; values sum to one."""
@@ -76,16 +79,6 @@ def knn_vote(
     return winner, shares
 
 
-def knn_classify(
-    train_vectors: Sequence[EncodedVector],
-    train_labels: Sequence[str],
-    query: EncodedVector,
-    k: int,
-) -> str:
-    """Class of the k-nearest-neighbor majority."""
-    return knn_vote(train_vectors, train_labels, query, k)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     """One-vs-all linear scorers: a weight row and bias per class."""
@@ -102,16 +95,14 @@ def train_weighted_linear(
     epochs: int = 100,
     step: float = 0.1,
     seed: int = 0,
-    reg: float = 1e-4,
 ) -> LinearModel:
     """Train one-vs-all hinge-loss scorers by seeded SGD.
 
     Each epoch shuffles the samples with the seeded generator and takes
     one subgradient step per sample per class scorer, scaling the hinge
-    subgradient by the sample's class weight.  `reg` is the L2 shrink
-    applied each step (a configuration knob; the encoded inputs are
-    already normalized by construction).  Deterministic for a fixed
-    seed.
+    subgradient by the sample's class weight, and shrinks every scorer
+    by the fixed L2 factor `REG` (the encoded inputs are already
+    normalized by construction).  Deterministic for a fixed seed.
     """
     if len(train_vectors) != len(train_labels):
         raise ValueError("vectors and labels differ in length")
@@ -138,7 +129,7 @@ def train_weighted_linear(
             xi = x[idx]
             margins = y[:, idx] * (w @ xi + b)
             active = margins < 1.0
-            w *= 1.0 - step * reg
+            w *= 1.0 - step * REG
             if np.any(active):
                 coef = step * sample_weight[idx] * y[active, idx]
                 w[active] += coef[:, None] * xi[None, :]

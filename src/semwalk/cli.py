@@ -10,69 +10,77 @@ Subcommands::
     gen-synthetic  write a planted synthetic dataset + taxonomy
 
 Options may also come from a ``--config`` file of ``key=value`` lines;
-explicit flags win.  All randomness is controlled by ``--seed``.
+explicit flags win.  An option set neither way takes the default of the
+`EvalConfig`, `SyntheticSpec` or `WalkConfig` field it sets.  All
+randomness is controlled by ``--seed``.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import encoding, evaluation, graph, inference, semantics
 from .dataset import annotation_for, atomic_write_text, parse_manifest, sample_segments
 
-_DEFAULTS: dict[str, object] = {
-    "mode": semantics.VERB,
-    "encoding": encoding.FV,
-    "method": evaluation.SEMBED,
-    "m": 240,
-    "z": 4,
-    "t": 8,
-    "k": 5,
-    "lambda": 0.5,
-    "fraction": 0.25,
-    "seed": 0,
-    "workers": 1,
-    "epochs": 100,
-    "step": 0.1,
-    "clusters": 4,
-    "points": 40,
-    "dim": 16,
-    "separation": 10.0,
-    "sigma": 1.0,
-    "persons": 3,
-    "rows_per_video": 10,
-    "synonym_clusters": 2,
-    "hyponym_clusters": 0,
-}
+_DEFAULTS: dict[str, object] = {"mode": semantics.VERB, "method": evaluation.SEMBED}
 
+# argparse destinations that differ from the option name; every other
+# option is named after the dataclass field it sets
+_DEST = {"lambda": "lam", "points": "points_per_cluster"}
+
+# Numeric defaults live in the dataclasses; the CLI only borrows their types.
 _CONVERTERS: dict[str, type] = {
-    "gamma": int, "m": int, "z": int, "t": int, "k": int, "seed": int,
-    "workers": int, "sample": int, "epochs": int, "clusters": int,
-    "points": int, "dim": int, "persons": int, "rows_per_video": int,
-    "synonym_clusters": int, "hyponym_clusters": int,
-    "lambda": float, "fraction": float, "separation": float,
-    "sigma": float, "step": float,
+    f.name: type(f.default)
+    for cls in (evaluation.EvalConfig, evaluation.SyntheticSpec, inference.WalkConfig)
+    for f in fields(cls)
+} | {"gamma": int, "sample": int}
+
+# Value-taking flags of each subcommand (every one also takes --config).
+_FLAGS: dict[str, tuple[str, ...]] = {
+    "encode": ("manifest", "encoding", "gamma", "fraction", "seed", "out"),
+    "build-graph": ("manifest", "taxonomy", "mode", "model", "m", "out"),
+    "classify": (
+        "graph", "manifest", "queries", "model", "taxonomy", "mode", "z", "t", "out",
+    ),
+    "evaluate": (
+        "manifest", "taxonomy", "mode", "method", "encoding", "gamma", "m", "z",
+        "t", "k", "lambda", "fraction", "seed", "sample", "epochs", "step", "out",
+    ),
+    "sweep": (
+        "manifest", "taxonomy", "mode", "method", "encoding", "lambda",
+        "fraction", "seed", "sample", "epochs", "step", "out",
+    ),
+    "gen-synthetic": (
+        "clusters", "points", "dim", "separation", "sigma", "persons", "seed",
+        "rows-per-video", "synonym-clusters", "hyponym-clusters", "out",
+    ),
 }
 
-# argparse destinations that differ from the option name
-_DEST = {"lambda": "lam"}
+# A config file may set any subcommand's flag, so one file can serve several.
+_CONFIG_KEYS = frozenset(
+    name.replace("-", "_") for names in _FLAGS.values() for name in names
+) | set(evaluation.SWEEP_KEYS)
 
 
 class CliError(Exception):
     """Usage-level failure; message is printed as a one-line diagnostic."""
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """Option destination -> (``path:line: key`` of the setting, raw value)."""
+    values: dict[str, tuple[str, str]] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        values[_DEST.get(key, key)] = (f"{path}:{lineno}: {key}", value)
     return values
 
 
@@ -84,22 +92,37 @@ class _Options:
         config = self.ns.get("config")
         self.file = _load_config_file(config) if config else {}
 
-    def get(self, key: str, required: bool = False):
-        value = self.ns.get(_DEST.get(key, key.replace("-", "_")))
-        if value is None and key in self.file:
-            converter = _CONVERTERS.get(key, str)
-            value = converter(self.file[key])
-        if value is None:
-            value = _DEFAULTS.get(key)
-        if value is None and required:
-            raise CliError(f"missing required --{key}")
+    def given(self, dest: str):
+        """The flag's value, else the config file's, else None."""
+        value = self.ns.get(dest)
+        if value is None and dest in self.file:
+            where, raw = self.file[dest]
+            converter = _CONVERTERS.get(dest, str)
+            try:
+                value = converter(raw)
+            except ValueError:
+                raise CliError(
+                    f"{where}: expected {converter.__name__}, got {raw!r}"
+                ) from None
         return value
 
-    def gamma(self) -> int:
-        value = self.get("gamma")
-        if value is not None:
-            return value
-        return 10 if self.get("encoding") == encoding.FV else 256
+    def get(self, dest: str, required: bool = False):
+        value = self.given(dest)
+        if value is None:
+            value = _DEFAULTS.get(dest)
+        if value is None and required:
+            raise CliError(f"missing required --{dest}")
+        return value
+
+    def config(self, cls, exclude: tuple[str, ...] = ()):
+        """`cls` from the options that are set; the rest keep its defaults."""
+        values = {
+            f.name: self.given(f.name) for f in fields(cls) if f.name not in exclude
+        }
+        try:
+            return cls(**{name: v for name, v in values.items() if v is not None})
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
 
 
 def _taxonomy_for(opts: _Options, mode: str) -> semantics.Taxonomy | None:
@@ -126,39 +149,18 @@ def _encode_manifest(manifest_path: str, model) -> tuple:
     return ds, encoded
 
 
-def _eval_config(opts: _Options) -> evaluation.EvalConfig:
-    return evaluation.EvalConfig(
-        encoding=opts.get("encoding"),
-        gamma=opts.gamma(),
-        m=opts.get("m"),
-        z=opts.get("z"),
-        t=opts.get("t"),
-        k=opts.get("k"),
-        lam=opts.get("lambda"),
-        fraction=opts.get("fraction"),
-        seed=opts.get("seed"),
-        epochs=opts.get("epochs"),
-        step=opts.get("step"),
-        workers=opts.get("workers"),
-    )
-
-
 def cmd_encode(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
+    config = opts.config(evaluation.EvalConfig)
     ds = parse_manifest(opts.get("manifest", required=True))
     sets = [ds.load_descriptors(seg).values for seg in ds.segments]
-    pool = encoding.subsample(sets, opts.get("fraction"), opts.get("seed"))
-    kind = opts.get("encoding")
-    gamma = opts.gamma()
-    if kind == encoding.BOW:
-        model = encoding.train_kmeans(pool, gamma, opts.get("seed"))
-    elif kind == encoding.FV:
-        model = encoding.train_gmm(pool, gamma, opts.get("seed"))
-    else:
-        raise CliError(f"unknown --encoding {kind!r}")
+    pool = encoding.subsample(sets, config.fraction, config.seed)
+    model = evaluation.train_encoder(pool, config, config.seed)
     out = opts.get("out", required=True)
     encoding.save_model(model, out)
-    print(f"saved {kind} model (gamma={gamma}, dim={pool.shape[1]}) to {out}")
+    print(
+        f"saved {config.encoding} model (gamma={config.gamma}, dim={pool.shape[1]}) to {out}"
+    )
     return 0
 
 
@@ -176,7 +178,7 @@ def cmd_build_graph(ns: argparse.Namespace) -> int:
         )
         for seg in ds.segments
     ]
-    svg = graph.build_svg(nodes, taxonomy, mode, opts.get("m"))
+    svg = graph.build_svg(nodes, taxonomy, mode, opts.config(evaluation.EvalConfig).m)
     out = opts.get("out", required=True)
     graph.save_graph(svg, out)
     print(f"built graph: {len(svg)} nodes, {len(svg.undirected_pairs())} edges -> {out}")
@@ -188,8 +190,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     structure = graph.load_graph(opts.get("graph", required=True))
     # The graph dump records its relation mode; an explicit --mode (or
     # config value) must agree with it.
-    explicit = vars(ns).get("mode") or opts.file.get("mode")
-    mode = explicit or structure.mode
+    mode = opts.given("mode") or structure.mode
     if mode != structure.mode:
         raise CliError(
             f"--mode {mode!r} conflicts with graph mode {structure.mode!r}"
@@ -215,7 +216,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     classes = semantics.semantic_classes(taxonomy, annotations | known, mode)
     cmap = semantics.class_map(classes)
 
-    walk = inference.WalkConfig(z=opts.get("z"), t=opts.get("t"))
+    walk = opts.config(inference.WalkConfig)
     lines = []
     for seg in queries.segments:
         vector = encoding.encode(model, queries.load_descriptors(seg).values)
@@ -245,12 +246,13 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
         raise CliError(
             f"unknown --method {method!r}; choose from {'|'.join(evaluation.METHODS)}"
         )
+    config = opts.config(evaluation.EvalConfig)
     taxonomy = _taxonomy_for(opts, mode)
     ds = parse_manifest(opts.get("manifest", required=True))
     sample = opts.get("sample")
     if sample is not None:
-        ds = sample_segments(ds, sample, opts.get("seed"))
-    report = evaluation.run_lopo(ds, taxonomy, mode, method, _eval_config(opts))
+        ds = sample_segments(ds, sample, config.seed)
+    report = evaluation.run_lopo(ds, taxonomy, mode, method, config)
     out = opts.get("out", required=True)
     evaluation.write_report(report, out)
     print(f"accuracy={report.accuracy!r}")
@@ -268,34 +270,22 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
     mode = _check_mode(opts.get("mode"))
     method = opts.get("method")
+    # The grid keys hold comma-separated lists, not single values.
+    base = opts.config(evaluation.EvalConfig, exclude=evaluation.SWEEP_KEYS)
     taxonomy = _taxonomy_for(opts, mode)
     ds = parse_manifest(opts.get("manifest", required=True))
     sample = opts.get("sample")
     if sample is not None:
-        ds = sample_segments(ds, sample, opts.get("seed"))
+        ds = sample_segments(ds, sample, base.seed)
     grid: dict[str, list] = {}
-    for key in ("z", "t", "m", "gamma", "k"):
-        raw = vars(ns).get(key)
+    for key in evaluation.SWEEP_KEYS:
+        raw = opts.ns.get(key)
         if raw is None and key in opts.file:
-            raw = opts.file[key]
+            raw = opts.file[key][1]
         if raw is not None:
             grid[key] = _int_list(raw)
     if not grid:
         raise CliError("sweep needs at least one of --z/--t/--m/--gamma/--k")
-    base = evaluation.EvalConfig(
-        encoding=opts.get("encoding"),
-        gamma=10 if opts.get("encoding") == encoding.FV else 256,
-        m=_DEFAULTS["m"],
-        z=_DEFAULTS["z"],
-        t=_DEFAULTS["t"],
-        k=_DEFAULTS["k"],
-        lam=opts.get("lambda"),
-        fraction=opts.get("fraction"),
-        seed=opts.get("seed"),
-        epochs=opts.get("epochs"),
-        step=opts.get("step"),
-        workers=opts.get("workers"),
-    )
     points = evaluation.sweep(ds, taxonomy, mode, method, grid, base)
     text = evaluation.format_sweep(points)
     out = opts.get("out")
@@ -308,31 +298,17 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 def cmd_gen_synthetic(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
-    spec = evaluation.SyntheticSpec(
-        clusters=opts.get("clusters"),
-        points_per_cluster=opts.get("points"),
-        dim=opts.get("dim"),
-        separation=opts.get("separation"),
-        sigma=opts.get("sigma"),
-        persons=opts.get("persons"),
-        seed=opts.get("seed"),
-        rows_per_video=opts.get("rows_per_video"),
-        synonym_clusters=opts.get("synonym_clusters"),
-        hyponym_clusters=opts.get("hyponym_clusters"),
-    )
+    spec = opts.config(evaluation.SyntheticSpec)
     out = opts.get("out", required=True)
     manifest_path, taxonomy_path = evaluation.gen_synthetic(spec, out)
     print(f"wrote {manifest_path} and {taxonomy_path}")
     return 0
 
 
-def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        key = name.replace("-", "_")
-        kwargs: dict = {"dest": _DEST.get(name, key)}
-        if key in _CONVERTERS:
-            kwargs["type"] = _CONVERTERS[key]
-        parser.add_argument(f"--{name}", **kwargs)
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for name in (*_FLAGS[command], "config"):
+        dest = _DEST.get(name, name.replace("-", "_"))
+        parser.add_argument(f"--{name}", dest=dest, type=_CONVERTERS.get(dest))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,46 +319,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="train a bow/fv encoder on a manifest")
-    _add_flags(p, "manifest", "encoding", "gamma", "fraction", "seed", "out", "config")
+    _add_flags(p, "encode")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("build-graph", help="build the semantic-visual graph")
-    _add_flags(p, "manifest", "taxonomy", "mode", "model", "m", "out", "config")
+    _add_flags(p, "build-graph")
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("classify", help="classify query videos against a graph")
-    _add_flags(
-        p, "graph", "manifest", "queries", "model", "taxonomy",
-        "mode", "z", "t", "out", "config",
-    )
+    _add_flags(p, "classify")
     p.add_argument("--distributions", action="store_true",
                    help="append the per-class distribution to each line")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="leave-one-person-out evaluation")
-    _add_flags(
-        p, "manifest", "taxonomy", "mode", "method", "encoding", "gamma",
-        "m", "z", "t", "k", "lambda", "fraction", "seed", "sample",
-        "epochs", "step", "workers", "out", "config",
-    )
+    _add_flags(p, "evaluate")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="grid of evaluations over z/t/m/gamma/k")
-    for key in ("z", "t", "m", "gamma", "k"):
+    for key in evaluation.SWEEP_KEYS:
         p.add_argument(f"--{key}", dest=key, type=str,
                        help=f"comma-separated {key} values")
-    _add_flags(
-        p, "manifest", "taxonomy", "mode", "method", "encoding", "lambda",
-        "fraction", "seed", "sample", "epochs", "step", "workers", "out", "config",
-    )
+    _add_flags(p, "sweep")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen-synthetic", help="write a planted synthetic dataset")
-    _add_flags(
-        p, "clusters", "points", "dim", "separation", "sigma", "persons",
-        "seed", "rows-per-video", "synonym-clusters", "hyponym-clusters",
-        "out", "config",
-    )
+    _add_flags(p, "gen-synthetic")
     p.set_defaults(func=cmd_gen_synthetic)
     return parser
 

@@ -10,15 +10,13 @@ class partition is computed once over every annotation in the dataset
 (train and test alike) so the true class is always well defined.
 
 All randomness derives from per-fold seed sequences keyed by the
-person's rank in the dataset, so reports are identical whether folds
-run serially or on a thread pool, and whether or not other folds were
-requested.
+person's rank in the dataset, so a fold's report is identical whether
+or not other folds were requested.
 """
 from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,24 +37,38 @@ SEMBED = "sembed"
 KNN = "knn"
 LINEAR = "linear"
 METHODS = (SEMBED, KNN, LINEAR)
+ENCODINGS = (encoding.BOW, encoding.FV)
+SWEEP_KEYS = ("z", "t", "m", "gamma", "k")
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Numeric knobs shared by every method."""
+    """Numeric knobs shared by every method.
+
+    `gamma` left as None takes the encoding's default codebook or
+    mixture size, set in `__post_init__`.  The CLI builds its config
+    from these fields, so both share every default.
+    """
 
     encoding: str = encoding.FV
-    gamma: int = 10
+    gamma: int | None = None
     m: int = 240
-    z: int = 4
-    t: int = 8
+    z: int = inference.WalkConfig.z
+    t: int = inference.WalkConfig.t
     k: int = 5
     lam: float = 0.5
     fraction: float = 0.25
     seed: int = 0
     epochs: int = 100
     step: float = 0.1
-    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.encoding not in ENCODINGS:
+            raise ValueError(
+                f"unknown encoding {self.encoding!r}; choose from {'|'.join(ENCODINGS)}"
+            )
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", 256 if self.encoding == encoding.BOW else 10)
 
 
 @dataclass(frozen=True)
@@ -104,12 +116,10 @@ def _fold_seed(base_seed: int, fold_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, fold_index]).generate_state(1)[0])
 
 
-def _train_encoder(pool: np.ndarray, config: EvalConfig, seed: int):
-    if config.encoding == encoding.BOW:
-        return encoding.train_kmeans(pool, config.gamma, seed)
-    if config.encoding == encoding.FV:
-        return encoding.train_gmm(pool, config.gamma, seed)
-    raise ValueError(f"unknown encoding {config.encoding!r}")
+def train_encoder(pool: np.ndarray, config: EvalConfig, seed: int):
+    """A k-means codebook (bow) or a mixture (fv) of `config.gamma` parts."""
+    train = encoding.train_kmeans if config.encoding == encoding.BOW else encoding.train_gmm
+    return train(pool, config.gamma, seed)
 
 
 def _fold_encodings(
@@ -126,7 +136,7 @@ def _fold_encodings(
     """
     train_sets = [dataset.load_descriptors(seg).values for seg in train.segments]
     pool = encoding.subsample(train_sets, config.fraction, seed)
-    model = _train_encoder(pool, config, seed)
+    model = train_encoder(pool, config, seed)
     encoded = {
         seg.segment_id: encoding.encode(model, dataset.load_descriptors(seg).values)
         for seg in dataset.segments
@@ -236,7 +246,9 @@ def run_lopo(
     )
     cmap = semantics.class_map(partition)
 
-    def run_fold(person: str) -> tuple[list[QueryRecord], FoldInfo]:
+    records: list[QueryRecord] = []
+    folds: list[FoldInfo] = []
+    for person in persons:
         seed = _fold_seed(config.seed, person_rank[person])
         train, test = split_lopo(dataset, person)
         train_persons = set(train.persons())
@@ -251,29 +263,20 @@ def run_lopo(
             encoded, encoder_ids = _fold_encodings(dataset, train, config, seed)
             if encoder_cache is not None:
                 encoder_cache[cache_key] = (encoded, encoder_ids)
-        records = _classify_fold(
+        records += _classify_fold(
             train, test, encoded, taxonomy, mode, method, config, partition, cmap, seed
         )
-        info = FoldInfo(
-            person=person,
-            train_segment_ids=tuple(seg.segment_id for seg in train.segments),
-            train_persons=tuple(sorted(train_persons)),
-            encoder_segment_ids=encoder_ids,
+        folds.append(
+            FoldInfo(
+                person=person,
+                train_segment_ids=tuple(seg.segment_id for seg in train.segments),
+                train_persons=tuple(sorted(train_persons)),
+                encoder_segment_ids=encoder_ids,
+            )
         )
-        return records, info
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(run_fold, persons))
-    else:
-        results = [run_fold(p) for p in persons]
 
     position = {seg.segment_id: i for i, seg in enumerate(dataset.segments)}
-    records = sorted(
-        (rec for recs, _info in results for rec in recs),
-        key=lambda rec: position[rec.segment_id],
-    )
-    folds = [info for _recs, info in results]
+    records.sort(key=lambda rec: position[rec.segment_id])
     class_names = tuple(component[0] for component in partition)
     index = {name: i for i, name in enumerate(class_names)}
     confusion = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
@@ -307,21 +310,6 @@ def run_lopo(
     )
 
 
-def accuracy(report: EvalReport) -> float:
-    """Fraction of records whose predicted class equals the true class."""
-    if not report.records:
-        raise ValueError("report has no records")
-    correct = sum(r.true_class == r.predicted_class for r in report.records)
-    return correct / len(report.records)
-
-
-def confusion(report: EvalReport) -> np.ndarray:
-    """Class x class count matrix (rows: true, columns: predicted)."""
-    if not report.records:
-        raise ValueError("report has no records")
-    return report.confusion
-
-
 def sweep(
     dataset: Dataset,
     taxonomy: semantics.Taxonomy | None,
@@ -336,13 +324,12 @@ def sweep(
     the base config's value.  Fold encoders are cached per gamma so
     walk-parameter points do not retrain models.
     """
-    known = ("z", "t", "m", "gamma", "k")
     for key in grid:
-        if key not in known:
+        if key not in SWEEP_KEYS:
             raise ValueError(f"unknown sweep key {key!r}")
     if not grid:
         raise ValueError("empty sweep grid")
-    axes = [list(grid.get(key, [getattr(base, key)])) for key in known]
+    axes = [list(grid.get(key, [getattr(base, key)])) for key in SWEEP_KEYS]
     cache: dict = {}
     points = []
     for z, t, m, gamma, k in itertools.product(*axes):

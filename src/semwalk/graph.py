@@ -62,12 +62,6 @@ class SvgGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def out_edges(self, i: int) -> list[tuple[int, float]]:
-        """(target, weight) pairs leaving node i, in target order."""
-        return sorted(
-            (j, w) for (src, j), (w, _tag) in self.edges.items() if src == i
-        )
-
     def undirected_pairs(self) -> list[tuple[int, int, float, str]]:
         """Each edge once as (i, j, weight, tag) with i < j, sorted."""
         return sorted(

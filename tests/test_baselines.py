@@ -4,7 +4,6 @@ import pytest
 from semwalk.baselines import (
     class_priors,
     class_weights,
-    knn_classify,
     knn_vote,
     predict_linear,
     train_weighted_linear,
@@ -58,11 +57,11 @@ class TestKnn:
     labels = ["A", "A", "B", "B"]
 
     def test_k1_nearest_neighbor(self):
-        assert knn_classify(self.vectors, self.labels, vec([0.2, 0.0]), 1) == "A"
-        assert knn_classify(self.vectors, self.labels, vec([10.4, 0.0]), 1) == "B"
+        assert knn_vote(self.vectors, self.labels, vec([0.2, 0.0]), 1)[0] == "A"
+        assert knn_vote(self.vectors, self.labels, vec([10.4, 0.0]), 1)[0] == "B"
 
     def test_k3_majority(self):
-        assert knn_classify(self.vectors, self.labels, vec([2.0, 0.0]), 3) == "A"
+        assert knn_vote(self.vectors, self.labels, vec([2.0, 0.0]), 3)[0] == "A"
 
     def test_vote_shares(self):
         winner, shares = knn_vote(self.vectors, self.labels, vec([2.0, 0.0]), 3)
@@ -89,7 +88,7 @@ class TestKnn:
             knn_vote(stacked, self.labels, vec([0.0, 0.0]), 0)
 
     def test_k_clamped(self):
-        assert knn_classify(self.vectors, self.labels, vec([0.0, 0.0]), 99) in {
+        assert knn_vote(self.vectors, self.labels, vec([0.0, 0.0]), 99)[0] in {
             "A",
             "B",
         }
@@ -97,13 +96,13 @@ class TestKnn:
     def test_tie_prefers_smaller_mean_distance(self):
         vectors = [vec([0.0, 0.0]), vec([4.0, 0.0]), vec([1.0, 0.0]), vec([5.0, 0.0])]
         labels = ["A", "B", "A", "B"]
-        winner = knn_classify(vectors, labels, vec([0.0, 0.0]), 4)
+        winner = knn_vote(vectors, labels, vec([0.0, 0.0]), 4)[0]
         assert winner == "A"  # 2-2 votes; A's neighbors are closer
 
     def test_tie_falls_back_to_lexicographic(self):
         vectors = [vec([1.0, 0.0]), vec([-1.0, 0.0])]
         labels = ["B", "A"]
-        winner = knn_classify(vectors, labels, vec([0.0, 0.0]), 2)
+        winner = knn_vote(vectors, labels, vec([0.0, 0.0]), 2)[0]
         assert winner == "A"
 
     def test_planted_clusters(self):
@@ -112,11 +111,11 @@ class TestKnn:
         train += [vec(rng.standard_normal(2) * 0.2 + 8.0) for _ in range(10)]
         labels = ["low"] * 10 + ["high"] * 10
         query = vec(rng.standard_normal(2) * 0.2 + 8.0)
-        assert knn_classify(train, labels, query, 5) == "high"
+        assert knn_vote(train, labels, query, 5)[0] == "high"
 
     def test_empty_training(self):
         with pytest.raises(ValueError, match="empty"):
-            knn_classify([], [], vec([0.0]), 1)
+            knn_vote([], [], vec([0.0]), 1)
 
 
 def separable_data(rng, n_a=30, n_b=30, margin=4.0):

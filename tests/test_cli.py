@@ -1,8 +1,13 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from semwalk.cli import dispatch
+from semwalk.cli import _DEST, _Options, build_parser, dispatch
+from semwalk.dataset import parse_manifest
+from semwalk.evaluation import EvalConfig, SyntheticSpec, format_report, run_lopo
+from semwalk.inference import WalkConfig
+from semwalk.semantics import parse_taxonomy
 
 
 def tree_bytes(root: Path) -> dict:
@@ -104,7 +109,7 @@ class TestEvaluate:
         config = tmp_path / "run.cfg"
         config.write_text(
             "mode=as\nmethod=knn\nencoding=bow\ngamma=4\nfraction=0.5\n"
-            "k=3\nseed=2\n",
+            "k=3\nseed=2\n# gen-synthetic's key, accepted here too\npoints=9\n",
             encoding="utf-8",
         )
         out = tmp_path / "report.txt"
@@ -119,6 +124,73 @@ class TestEvaluate:
         header = out.read_text(encoding="utf-8").splitlines()
         assert "k=1" in header  # flag wins over config file's k=3
         assert "method=knn" in header  # config fills what flags omit
+
+    def test_defaults_match_library(self, tmp_path):
+        # 64 rows per video leave a pool larger than bow's 256 codewords.
+        data = gen(tmp_path, "data", extra=("--rows-per-video", "64"))
+        out = tmp_path / "report.txt"
+        manifest, taxonomy = data / "manifest.tsv", data / "taxonomy.tsv"
+        code = dispatch(
+            [
+                "evaluate", "--manifest", str(manifest), "--taxonomy", str(taxonomy),
+                "--mode", "as", "--method", "knn", "--encoding", "bow",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        report = run_lopo(
+            parse_manifest(manifest), parse_taxonomy(taxonomy), "as", "knn",
+            EvalConfig(encoding="bow"),
+        )
+        assert out.read_bytes() == format_report(report).encode("utf-8")
+
+
+def _non_default(field):
+    if field.name == "encoding":
+        return "bow"
+    if field.default is None:  # gamma
+        return 7
+    return field.default + 1
+
+
+@pytest.mark.parametrize(
+    "command, cls",
+    [("evaluate", EvalConfig), ("gen-synthetic", SyntheticSpec), ("classify", WalkConfig)],
+)
+def test_every_config_field_has_a_flag(command, cls):
+    option = {dest: name for name, dest in _DEST.items()}
+    values = {f.name: _non_default(f) for f in fields(cls)}
+    argv = [command]
+    for name, value in values.items():
+        argv += [f"--{option.get(name, name).replace('_', '-')}", str(value)]
+    built = _Options(build_parser().parse_args(argv)).config(cls)
+    assert built == cls(**values)
+    assert all(getattr(built, f.name) != f.default for f in fields(cls))
+
+
+class TestConfigFile:
+    def _evaluate(self, tmp_path, text):
+        config = tmp_path / "run.cfg"
+        config.write_text(text, encoding="utf-8")
+        code = dispatch(
+            [
+                "evaluate", "--manifest", str(tmp_path / "missing.tsv"),
+                "--config", str(config), "--out", str(tmp_path / "r.txt"),
+            ]
+        )
+        return code, config
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        code, config = self._evaluate(tmp_path, "method=knn\n\ngama=4\n")
+        assert code == 2
+        assert f"{config}:3: unknown key 'gama'" in capsys.readouterr().err
+
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys):
+        code, config = self._evaluate(tmp_path, "# budget\nm=abc\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{config}:2: m: expected int, got 'abc'" in err
+        assert err.count("\n") == 1
 
 
 class TestClassifyFlow:
@@ -209,6 +281,25 @@ class TestSweep:
         assert lines[0] == "z\tt\tm\tgamma\tk\taccuracy"
         assert len(lines) == 5
 
+    def test_grid_from_config_file(self, tmp_path, capsys):
+        data = gen(tmp_path, "data")
+        config = tmp_path / "sweep.cfg"
+        config.write_text("z=1,2\nt=0,2\ngamma=4\n", encoding="utf-8")
+        capsys.readouterr()
+        code = dispatch(
+            [
+                "sweep", "--manifest", str(data / "manifest.tsv"),
+                "--method", "knn", "--encoding", "bow", "--fraction", "0.5",
+                "--config", str(config),
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [ln.split("\t")[:4] for ln in lines[1:]] == [
+            ["1", "0", "240", "4"], ["1", "2", "240", "4"],
+            ["2", "0", "240", "4"], ["2", "2", "240", "4"],
+        ]
+
     def test_sweep_without_grid_rejected(self, tmp_path, capsys):
         data = gen(tmp_path, "data")
         code = dispatch(
@@ -227,6 +318,20 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert dispatch(["evaluate", "--bogus", "1"]) != 0
+
+    @pytest.mark.parametrize("command", ["encode", "evaluate", "sweep"])
+    def test_unknown_encoding_one_error(self, tmp_path, capsys, command):
+        # The manifest does not exist: the encoding is rejected before it is read.
+        code = dispatch(
+            [
+                command, "--manifest", str(tmp_path / "missing.tsv"),
+                "--encoding", "foo", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "semwalk: error: unknown encoding 'foo'; choose from bow|fv\n"
+        )
 
     def test_mode_validation(self, tmp_path, capsys):
         data = gen(tmp_path, "data")

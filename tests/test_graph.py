@@ -199,8 +199,8 @@ class TestBuildSvg:
             n = int(rng.integers(2, 15))
             nodes = random_nodes(rng, n, int(rng.integers(1, 5)))
             svg = build_svg(nodes, None, VERB, m=int(rng.integers(0, 6)))
-            for i in range(n):
-                assert len(svg.out_edges(i)) >= 1
+            touched = {end for i, j, _w, _tag in svg.undirected_pairs() for end in (i, j)}
+            assert touched == set(range(n))
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(4)
