@@ -140,6 +140,12 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _check_method(method: str) -> str:
+    if method not in evaluation.METHODS:
+        raise CliError(f"unknown --method {method!r}; choose from {'|'.join(evaluation.METHODS)}")
+    return method
+
+
 def _encode_manifest(manifest_path: str, model) -> tuple:
     ds = parse_manifest(manifest_path)
     encoded = {
@@ -181,7 +187,7 @@ def cmd_build_graph(ns: argparse.Namespace) -> int:
     svg = graph.build_svg(nodes, taxonomy, mode, opts.config(evaluation.EvalConfig).m)
     out = opts.get("out", required=True)
     graph.save_graph(svg, out)
-    print(f"built graph: {len(svg)} nodes, {len(svg.undirected_pairs())} edges -> {out}")
+    print(f"built graph: {len(svg)} nodes, {len(svg.ends)} edges -> {out}")
     return 0
 
 
@@ -241,11 +247,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 def cmd_evaluate(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
     mode = _check_mode(opts.get("mode"))
-    method = opts.get("method")
-    if method not in evaluation.METHODS:
-        raise CliError(
-            f"unknown --method {method!r}; choose from {'|'.join(evaluation.METHODS)}"
-        )
+    method = _check_method(opts.get("method"))
     config = opts.config(evaluation.EvalConfig)
     taxonomy = _taxonomy_for(opts, mode)
     ds = parse_manifest(opts.get("manifest", required=True))
@@ -269,7 +271,7 @@ def _int_list(text: str) -> list[int]:
 def cmd_sweep(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
     mode = _check_mode(opts.get("mode"))
-    method = opts.get("method")
+    method = _check_method(opts.get("method"))
     # The grid keys hold comma-separated lists, not single values.
     base = opts.config(evaluation.EvalConfig, exclude=evaluation.SWEEP_KEYS)
     taxonomy = _taxonomy_for(opts, mode)

@@ -8,21 +8,21 @@ that look alike:
 * the m globally closest unrelated pairs, ranked over all such pairs,
 * plus, for every node, its single closest unrelated node.
 
-Each undirected edge carries the visual distance between its endpoints
-(epsilon-floored so duplicates stay normalizable) and is stored as two
-directed edges of equal weight.  Row-normalizing reciprocal weights
-yields the transition matrix: short edges get high traversal
-probability, and rows sum to one.  The matrix is asymmetric in general
-because the two endpoints normalize over different neighborhoods.
+Each undirected edge is stored once, with ends i < j, and carries the
+visual distance between its endpoints (epsilon-floored so duplicates
+stay normalizable).  Row-normalizing reciprocal weights over both
+directions of every edge yields the transition matrix: short edges get
+high traversal probability, and rows sum to one.  The matrix is
+asymmetric in general because the two endpoints normalize over
+different neighborhoods.
 
 Built graphs and their transition matrices are immutable; share them
 freely across threads.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -33,6 +33,7 @@ from scipy.sparse import csr_array
 from . import semantics
 from .dataset import atomic_write_text
 from .encoding import DISTANCE_EPSILON, EncodedVector, stack
+from .encoding import _point_terms, _squared_distances
 
 SEMANTIC = "semantic"
 VISUAL = "visual"
@@ -47,26 +48,33 @@ class SvgNode:
 
 @dataclass(frozen=True, eq=False)
 class SvgGraph:
-    """Directed graph with symmetric edges and per-edge weight + tag.
+    """Nodes and undirected edges, each edge stored once with i < j.
 
-    `edges` maps (i, j) to (weight, tag) and contains (j, i) with the
-    same entry for every (i, j); weights are strictly positive and tags
-    are "semantic" or "visual".
+    Edge k joins `ends[k, 0]` < `ends[k, 1]` (an E x 2 intp array whose
+    rows are unique and in ascending (i, j) order) with weight
+    `weights[k]` > 0; `semantic[k]` is True for a semantic edge and
+    False for a visual one.  The three arrays are made read-only here.
     """
 
     nodes: list[SvgNode]
-    edges: dict[tuple[int, int], tuple[float, str]]
+    ends: np.ndarray
+    weights: np.ndarray
+    semantic: np.ndarray
     mode: str
     m: int
+
+    def __post_init__(self) -> None:
+        for array in (self.ends, self.weights, self.semantic):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def undirected_pairs(self) -> list[tuple[int, int, float, str]]:
-        """Each edge once as (i, j, weight, tag) with i < j, sorted."""
-        return sorted(
-            (i, j, w, tag) for (i, j), (w, tag) in self.edges.items() if i < j
-        )
+        """Each edge once as (i, j, weight, tag) with i < j, in (i, j) order."""
+        tags = [SEMANTIC if s else VISUAL for s in self.semantic.tolist()]
+        i, j = self.ends.T.tolist()
+        return list(zip(i, j, self.weights.tolist(), tags))
 
     @cached_property
     def vector_matrix(self) -> EncodedVector:
@@ -99,12 +107,7 @@ def distance_matrix(vectors: Sequence[EncodedVector]) -> np.ndarray:
     if len(vectors) < 2:
         raise ValueError("need at least 2 vectors")
     stacked = stack(vectors).values
-    sq = (
-        np.sum(stacked**2, axis=1)[:, None]
-        - 2.0 * stacked @ stacked.T
-        + np.sum(stacked**2, axis=1)[None, :]
-    )
-    dist = np.sqrt(np.maximum(sq, 0.0))
+    dist = np.sqrt(_squared_distances(_point_terms(stacked), stacked))
     np.fill_diagonal(dist, 0.0)
     return (dist + dist.T) / 2.0
 
@@ -168,8 +171,7 @@ def build_svg(
     The undirected edge set is the union of all related pairs, the top
     m unrelated pairs by global distance rank, and each node's closest
     unrelated node.  Edge weights are the pairwise distances plus a
-    floor epsilon, and every undirected edge is stored as two directed
-    edges.
+    floor epsilon; an edge is semantic exactly when its ends are related.
     """
     if len(nodes) < 2:
         raise ValueError(f"graph needs at least 2 training videos, got {len(nodes)}")
@@ -182,24 +184,21 @@ def build_svg(
     distances = distance_matrix(vectors)
     related_pair = _related_matrix(annotations, taxonomy, mode)
 
-    semantic_i, semantic_j = np.nonzero(np.triu(related_pair, k=1))
-    undirected = dict.fromkeys(
-        zip(semantic_i.tolist(), semantic_j.tolist()), SEMANTIC
-    )
-    for pair in rank_global(distances, related_pair)[:m]:
-        undirected[pair] = VISUAL
+    # Edges are marked in the upper triangle, so nonzero lists them in
+    # canonical (i, j) order.
+    marked = np.triu(related_pair, k=1)
+    for i, j in rank_global(distances, related_pair)[:m]:
+        marked[i, j] = True
     for i in range(len(nodes)):
         j = rank_local(distances, related_pair, i)
         if j is not None:
-            undirected[(min(i, j), max(i, j))] = VISUAL
-
-    pairs = np.array(list(undirected))
-    weights = distances[pairs[:, 0], pairs[:, 1]] + DISTANCE_EPSILON
-    edges: dict[tuple[int, int], tuple[float, str]] = {}
-    for ((i, j), tag), weight in zip(undirected.items(), weights.tolist()):
-        edges[(i, j)] = (weight, tag)
-        edges[(j, i)] = (weight, tag)
-    return SvgGraph(nodes=list(nodes), edges=edges, mode=mode, m=m)
+            marked[min(i, j), max(i, j)] = True
+    i, j = np.nonzero(marked)
+    return SvgGraph(
+        nodes=list(nodes), ends=np.column_stack((i, j)),
+        weights=distances[i, j] + DISTANCE_EPSILON, semantic=related_pair[i, j],
+        mode=mode, m=m,
+    )
 
 
 def normalize_transitions(graph: SvgGraph) -> csr_array:
@@ -209,16 +208,10 @@ def normalize_transitions(graph: SvgGraph) -> csr_array:
     node gets the largest probability, and each row sums to one.
     """
     n = len(graph.nodes)
-    ends = np.fromiter(
-        itertools.chain.from_iterable(graph.edges), dtype=np.intp,
-        count=2 * len(graph.edges),
-    ).reshape(-1, 2)
-    weights = np.fromiter(
-        (w for w, _tag in graph.edges.values()), dtype=np.float64,
-        count=len(graph.edges),
-    )
-    # Row sums accumulate in (i, j) order, so the float results are the
-    # same whether the graph was just built or reloaded from a dump.
+    ends = np.concatenate((graph.ends, graph.ends[:, ::-1]))
+    weights = np.concatenate((graph.weights, graph.weights))
+    # Row sums accumulate over both directions in (i, j) order, the
+    # order of `tests/_oracles.py::loop_normalize_transitions`.
     order = np.lexsort((ends[:, 1], ends[:, 0]))
     rows, cols, weights = ends[order, 0], ends[order, 1], weights[order]
     bad = np.flatnonzero(weights <= 0.0)
@@ -273,7 +266,8 @@ def load_graph(path: str | Path) -> SvgGraph:
     ends are not two distinct nodes, a weight that is not a finite
     number > 0, and an edge listed twice in either direction.  Every
     error is a ValueError naming the file and, where there is one, the
-    line.
+    line.  Edge lines may come in any order and with either end first:
+    the graph holds each edge once, in canonical (i, j) order.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -315,7 +309,7 @@ def load_graph(path: str | Path) -> SvgGraph:
             f"{path}: {len(edge_lines) - edge_count} trailing line(s) after "
             f"{edge_count} edges, from line {3 + count + edge_count}"
         )
-    edges: dict[tuple[int, int], tuple[float, str]] = {}
+    edges: dict[tuple[int, int], tuple[float, bool]] = {}
     for lineno, line in enumerate(edge_lines, start=3 + count):
         fields = line.split()
         if len(fields) != 4 or fields[3] not in (SEMANTIC, VISUAL):
@@ -324,31 +318,29 @@ def load_graph(path: str | Path) -> SvgGraph:
             i, j, w = int(fields[0]), int(fields[1]), float(fields[2])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: bad edge line {line!r}") from None
-        tag = fields[3]
         if not (0 <= i < count and 0 <= j < count and i != j):
             raise ValueError(f"{path}: line {lineno}: bad edge ends {i} {j}")
         if not (w > 0.0 and math.isfinite(w)):
             raise ValueError(
                 f"{path}: line {lineno}: edge weight must be finite and > 0, got {w!r}"
             )
-        if (i, j) in edges:
+        pair = (i, j) if i < j else (j, i)
+        if pair in edges:
             raise ValueError(f"{path}: line {lineno}: duplicate edge {i} {j}")
-        edges[(i, j)] = (w, tag)
-        edges[(j, i)] = (w, tag)
-    return SvgGraph(nodes=nodes, edges=edges, mode=mode, m=m)
+        edges[pair] = (w, fields[3] == SEMANTIC)
+    pairs = sorted(edges)
+    return SvgGraph(
+        nodes=nodes, ends=np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        weights=np.array([edges[pair][0] for pair in pairs], dtype=np.float64),
+        semantic=np.array([edges[pair][1] for pair in pairs], dtype=bool),
+        mode=mode, m=m,
+    )
 
 
 def with_vectors(graph: SvgGraph, vectors: dict[str, EncodedVector]) -> SvgGraph:
     """Attach encoded vectors to a structure-only graph by segment id."""
-    nodes = []
     for node in graph.nodes:
         if node.segment_id not in vectors:
             raise ValueError(f"no encoded vector for segment {node.segment_id!r}")
-        nodes.append(
-            SvgNode(
-                segment_id=node.segment_id,
-                annotation=node.annotation,
-                vector=vectors[node.segment_id],
-            )
-        )
-    return SvgGraph(nodes=nodes, edges=graph.edges, mode=graph.mode, m=graph.m)
+    nodes = [replace(node, vector=vectors[node.segment_id]) for node in graph.nodes]
+    return replace(graph, nodes=nodes)

@@ -42,7 +42,8 @@ def brute_force_edges(distances, is_related, m):
 
 
 def loop_normalize_transitions(graph):
-    """Transition matrix by sorted loops over the edge dict, edge by edge.
+    """Transition matrix by sorted loops over the directed edges, edge by
+    edge, each undirected pair taken in both directions.
 
     Row sums accumulate in (i, j) order, the order the library's
     array version must reproduce bit for bit.
@@ -50,15 +51,19 @@ def loop_normalize_transitions(graph):
     n = len(graph.nodes)
     rows, cols, vals = [], [], []
     recip_sums = np.zeros(n)
-    ordered = sorted(graph.edges.items())
-    for (i, _j), (w, _tag) in ordered:
+    directed = []
+    for i, j, w, _tag in graph.undirected_pairs():
+        directed.append(((i, j), w))
+        directed.append(((j, i), w))
+    ordered = sorted(directed)
+    for (i, _j), w in ordered:
         if w <= 0.0:
             raise ValueError(f"non-positive edge weight {w} out of node {i}")
         recip_sums[i] += 1.0 / w
     if np.any(recip_sums == 0.0):
         missing = int(np.argmax(recip_sums == 0.0))
         raise ValueError(f"node {missing} has no outgoing edges")
-    for (i, j), (w, _tag) in ordered:
+    for (i, j), w in ordered:
         rows.append(i)
         cols.append(j)
         vals.append((1.0 / w) / recip_sums[i])

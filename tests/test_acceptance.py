@@ -113,7 +113,10 @@ def test_transition_matrix_stochasticity():
         assert np.all(np.abs(row_sums - 1.0) <= 1e-9)
         coo = A.tocoo()
         assert np.all(coo.data > 0.0)
-        assert set(zip(coo.row.tolist(), coo.col.tolist())) == set(svg.edges)
+        mirrored = {
+            pair for i, j, _w, _tag in svg.undirected_pairs() for pair in ((i, j), (j, i))
+        }
+        assert set(zip(coo.row.tolist(), coo.col.tolist())) == mirrored
     timer.check("transition-matrix stochasticity (100 random graphs)")
 
 

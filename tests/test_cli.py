@@ -333,6 +333,20 @@ class TestUsage:
             "semwalk: error: unknown encoding 'foo'; choose from bow|fv\n"
         )
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_unknown_method_one_error(self, tmp_path, capsys, command):
+        # The manifest does not exist: the method is rejected before it is read.
+        code = dispatch(
+            [
+                command, "--manifest", str(tmp_path / "missing.tsv"),
+                "--method", "oracle", "--z", "1", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "semwalk: error: unknown --method 'oracle'; choose from sembed|knn|linear\n"
+        )
+
     def test_mode_validation(self, tmp_path, capsys):
         data = gen(tmp_path, "data")
         code = dispatch(

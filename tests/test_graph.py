@@ -1,11 +1,16 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import semwalk.graph
 from semwalk.encoding import DISTANCE_EPSILON
 from semwalk.graph import (
     SEMANTIC,
     VISUAL,
+    SvgGraph,
     SvgNode,
     build_svg,
     distance_matrix,
@@ -15,9 +20,13 @@ from semwalk.graph import (
     rank_local,
     save_graph,
 )
-from semwalk.semantics import VERB
+from semwalk.semantics import MODES, VERB
 
-from _oracles import brute_force_edges, loop_normalize_transitions
+from _oracles import (
+    brute_force_edges,
+    expanded_squared_distances,
+    loop_normalize_transitions,
+)
 from conftest import vec
 
 
@@ -56,6 +65,25 @@ class TestDistanceMatrix:
     def test_needs_two(self):
         with pytest.raises(ValueError, match="at least 2"):
             distance_matrix([vec([1.0])])
+
+    @pytest.mark.parametrize(
+        "n,dim,kind",
+        [(2, 1, "fv"), (37, 5, "fv"), (120, 640, "fv"), (200, 64, "bow"), (400, 3, "bow")],
+    )
+    def test_bit_equal_to_expanded_form(self, n, dim, kind):
+        rng = np.random.default_rng(n + dim)
+        if kind == "bow":
+            rows = rng.random((n, dim)) ** 3
+            rows /= rows.sum(axis=1, keepdims=True)
+        else:
+            rows = rng.standard_normal((n, dim)) * 3.0
+            rows = np.sign(rows) * np.sqrt(np.abs(rows))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        dist = np.sqrt(expanded_squared_distances(rows, rows))
+        np.fill_diagonal(dist, 0.0)
+        want = (dist + dist.T) / 2.0
+        got = distance_matrix([vec(row, kind) for row in rows])
+        assert got.tobytes() == want.tobytes()
 
 
 def related_from_labels(labels):
@@ -233,25 +261,44 @@ class TestBuildSvg:
             assert_matches_oracle(nodes, int(rng.integers(0, 8)), distances)
 
     def test_directed_edges_mirror(self):
+        # Each edge is stored once, i < j, and mirrored only in the transition matrix.
         rng = np.random.default_rng(5)
         nodes = random_nodes(rng, 8, 3)
         svg = build_svg(nodes, None, VERB, m=4)
-        for (i, j), (w, tag) in svg.edges.items():
-            assert svg.edges[(j, i)] == (w, tag)
-            assert i != j
-            assert w > 0
+        related = related_from_labels([node.annotation for node in nodes])
+        assert svg.ends.dtype == np.intp and svg.ends.shape == (len(svg.weights), 2)
+        assert np.all(svg.ends[:, 0] < svg.ends[:, 1])
+        keys = [tuple(pair) for pair in svg.ends.tolist()]
+        assert keys == sorted(set(keys))
+        assert svg.weights.dtype == np.float64 and np.all(svg.weights > 0)
+        assert svg.semantic.dtype == bool
+        assert svg.semantic.tolist() == [bool(related[i, j]) for i, j in keys]
+
+    def test_edge_arrays_read_only(self, tmp_path):
+        rng = np.random.default_rng(17)
+        svg = build_svg(random_nodes(rng, 6, 2), None, VERB, m=2)
+        save_graph(svg, tmp_path / "g.txt")
+        for graph in (svg, load_graph(tmp_path / "g.txt")):
+            with pytest.raises(ValueError):
+                graph.ends[0, 0] = 5
+            with pytest.raises(ValueError):
+                graph.weights[0] = 1.0
+            with pytest.raises(ValueError):
+                graph.semantic[0] = not graph.semantic[0]
 
 
 class TestTransitions:
     def _graph_from_edges(self, n, weighted_edges):
         nodes = make_nodes([[float(i), 0.0] for i in range(n)], ["x"] * n)
-        edges = {}
-        for i, j, w in weighted_edges:
-            edges[(i, j)] = (w, SEMANTIC)
-            edges[(j, i)] = (w, SEMANTIC)
-        from semwalk.graph import SvgGraph
-
-        return SvgGraph(nodes=nodes, edges=edges, mode=VERB, m=0)
+        ends = np.array([(i, j) for i, j, _w in weighted_edges], dtype=np.intp)
+        return SvgGraph(
+            nodes=nodes,
+            ends=ends,
+            weights=np.array([w for _i, _j, w in weighted_edges]),
+            semantic=np.ones(len(ends), dtype=bool),
+            mode=VERB,
+            m=0,
+        )
 
     def test_equal_weights_split_evenly(self):
         g = self._graph_from_edges(3, [(0, 1, 1.0), (0, 2, 1.0)])
@@ -281,7 +328,10 @@ class TestTransitions:
             assert np.allclose(sums, 1.0, atol=1e-9)
             coo = A.tocoo()
             pattern = set(zip(coo.row.tolist(), coo.col.tolist()))
-            assert pattern == set(svg.edges)
+            mirrored = {
+                pair for i, j, _w, _tag in svg.undirected_pairs() for pair in ((i, j), (j, i))
+            }
+            assert pattern == mirrored
 
     def test_smaller_weight_larger_probability(self):
         g = self._graph_from_edges(4, [(0, 1, 0.5), (0, 2, 1.0), (0, 3, 2.0)])
@@ -341,7 +391,7 @@ class TestGraphFiles:
         assert [n.annotation for n in loaded.nodes] == [
             n.annotation for n in svg.nodes
         ]
-        assert loaded.edges == svg.edges
+        assert loaded.undirected_pairs() == svg.undirected_pairs()
 
     def test_dump_deterministic(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -479,3 +529,102 @@ class TestGraphFiles:
         path, n = self._rewrite(tmp_path, edit)
         with pytest.raises(ValueError, match=rf"graph\.txt: line {n}: duplicate edge "):
             load_graph(path)
+
+
+_LABELS = ["put", "take", "wash up.v.3", "put_down.v.1"]
+
+
+@st.composite
+def graphs(draw, max_nodes=10):
+    """Any structure-only graph a dump can hold: edges between any nodes,
+    any finite weights > 0, either tag."""
+    n = draw(st.integers(1, max_nodes))
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = sorted(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else []
+    count = len(pairs)
+    weight = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return SvgGraph(
+        nodes=[
+            SvgNode(segment_id=f"s{i}", annotation=draw(st.sampled_from(_LABELS)), vector=None)
+            for i in range(n)
+        ],
+        ends=np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        weights=np.array(draw(st.lists(weight, min_size=count, max_size=count))),
+        semantic=np.array(
+            draw(st.lists(st.booleans(), min_size=count, max_size=count)), dtype=bool
+        ),
+        mode=draw(st.sampled_from(MODES)),
+        m=draw(st.integers(0, 1000)),
+    )
+
+
+def _transitions(graph):
+    try:
+        A = normalize_transitions(graph)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()
+
+
+def _assert_same_graph(got, want):
+    assert [(n.segment_id, n.annotation) for n in got.nodes] == [
+        (n.segment_id, n.annotation) for n in want.nodes
+    ]
+    assert (got.mode, got.m) == (want.mode, want.m)
+    assert got.ends.dtype == np.intp and got.ends.shape == want.ends.shape
+    assert np.array_equal(got.ends, want.ends)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.array_equal(got.semantic, want.semantic)
+
+
+def _dumps(max_examples):
+    return settings(
+        max_examples=max_examples,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+
+class TestGraphDumpProperties:
+    @_dumps(60)
+    @given(graph=graphs())
+    def test_save_load_save_same_bytes_and_transitions(self, tmp_path, graph):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_graph(graph, first)
+        loaded = load_graph(first)
+        _assert_same_graph(loaded, graph)
+        save_graph(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert _transitions(loaded) == _transitions(graph)
+
+    @_dumps(60)
+    @given(graph=graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_and_swapped_edge_lines_load_canonical(self, tmp_path, graph, seed):
+        path = tmp_path / "g.txt"
+        save_graph(graph, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        head, edge_lines = lines[: len(graph) + 2], lines[len(graph) + 2 :]
+        rng = random.Random(seed)
+        rng.shuffle(edge_lines)
+        for k, line in enumerate(edge_lines):
+            if rng.random() < 0.5:
+                i, j, rest = line.split(" ", 2)
+                edge_lines[k] = f"{j} {i} {rest}"
+        path.write_text("\n".join(head + edge_lines) + "\n", encoding="utf-8")
+        _assert_same_graph(load_graph(path), graph)
+
+    @_dumps(25)
+    @given(graph=graphs(max_nodes=6))
+    def test_every_truncated_prefix_raises_value_error(self, tmp_path, graph):
+        full, path = tmp_path / "full.txt", tmp_path / "cut.txt"
+        save_graph(graph, full)
+        text = full.read_text(encoding="utf-8")
+        # Only the final newline may go: any shorter prefix loses a line
+        # or a header field, or cuts the last line before its tag ends.
+        for cut in range(len(text) - 1):
+            path.write_text(text[:cut], encoding="utf-8")
+            with pytest.raises(ValueError) as error:
+                load_graph(path)
+            assert str(error.value).startswith(f"{path}: ")
+        path.write_text(text[:-1], encoding="utf-8")
+        _assert_same_graph(load_graph(path), graph)

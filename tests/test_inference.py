@@ -28,6 +28,17 @@ def make_graph(points, labels):
     return build_svg(nodes, None, VERB, m=0)
 
 
+def edgeless_graph(nodes):
+    return SvgGraph(
+        nodes=nodes,
+        ends=np.empty((0, 2), dtype=np.intp),
+        weights=np.empty(0),
+        semantic=np.empty(0, dtype=bool),
+        mode=VERB,
+        m=0,
+    )
+
+
 def cycle_matrix():
     # 0 -> 1 -> 2 -> 0 with probability 1
     dense = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -314,16 +325,13 @@ class TestBatch:
                 SvgNode(segment_id=f"s{i}", annotation="a", vector=vec(rng.standard_normal(dim)))
                 for i in range(20)
             ]
-            g = SvgGraph(nodes=nodes, edges={}, mode=VERB, m=0)
+            g = edgeless_graph(nodes)
             query = vec(rng.standard_normal(dim))
             expected = [distance(query, node.vector) for node in nodes]
             assert query_distances(g, query).tolist() == expected
 
     def test_query_distances_need_vectors(self):
-        g = SvgGraph(
-            nodes=[SvgNode(segment_id="s0", annotation="a", vector=None)],
-            edges={}, mode=VERB, m=0,
-        )
+        g = edgeless_graph([SvgNode(segment_id="s0", annotation="a", vector=None)])
         with pytest.raises(ValueError, match="no vectors"):
             query_distances(g, vec([0.0]))
 
