@@ -146,27 +146,14 @@ def _check_method(method: str) -> str:
     return method
 
 
-def _encode_manifest(manifest_path: str, model) -> tuple:
-    ds = parse_manifest(manifest_path)
-    encoded = {
-        seg.segment_id: encoding.encode(model, ds.load_descriptors(seg).values)
-        for seg in ds.segments
-    }
-    return ds, encoded
-
-
 def cmd_encode(ns: argparse.Namespace) -> int:
     opts = _Options(ns)
     config = opts.config(evaluation.EvalConfig)
     ds = parse_manifest(opts.get("manifest", required=True))
-    sets = [ds.load_descriptors(seg).values for seg in ds.segments]
-    pool = encoding.subsample(sets, config.fraction, config.seed)
-    model = evaluation.train_encoder(pool, config, config.seed)
+    model = evaluation.train_encoder(ds, config, config.seed)
     out = opts.get("out", required=True)
     encoding.save_model(model, out)
-    print(
-        f"saved {config.encoding} model (gamma={config.gamma}, dim={pool.shape[1]}) to {out}"
-    )
+    print(f"saved {config.encoding} model (gamma={config.gamma}, dim={model.dim}) to {out}")
     return 0
 
 
@@ -175,15 +162,8 @@ def cmd_build_graph(ns: argparse.Namespace) -> int:
     mode = _check_mode(opts.get("mode"))
     taxonomy = _taxonomy_for(opts, mode)
     model = encoding.load_model(opts.get("model", required=True))
-    ds, encoded = _encode_manifest(opts.get("manifest", required=True), model)
-    nodes = [
-        graph.SvgNode(
-            segment_id=seg.segment_id,
-            annotation=annotation_for(seg, mode),
-            vector=encoded[seg.segment_id],
-        )
-        for seg in ds.segments
-    ]
+    ds = parse_manifest(opts.get("manifest", required=True))
+    nodes = evaluation.graph_nodes(ds, evaluation.encode_segments(ds, model), mode)
     svg = graph.build_svg(nodes, taxonomy, mode, opts.config(evaluation.EvalConfig).m)
     out = opts.get("out", required=True)
     graph.save_graph(svg, out)
@@ -203,8 +183,8 @@ def cmd_classify(ns: argparse.Namespace) -> int:
         )
     taxonomy = _taxonomy_for(opts, mode)
     model = encoding.load_model(opts.get("model", required=True))
-    _train_ds, encoded = _encode_manifest(opts.get("manifest", required=True), model)
-    svg = graph.with_vectors(structure, encoded)
+    train = parse_manifest(opts.get("manifest", required=True))
+    svg = graph.with_vectors(structure, evaluation.encode_segments(train, model))
     transitions = graph.normalize_transitions(svg)
     queries = parse_manifest(opts.get("queries", required=True))
 

@@ -13,9 +13,8 @@ blank lines are skipped.  A malformed file raises a ValueError naming
 the file and, for a bad body line, the line.
 
 Descriptor loading is lazy: segments only name their file until the
-matrix is first requested, after which it is cached.  Datasets and
-descriptor sets are immutable once loaded, so they can be shared freely
-across worker threads.
+matrix is first requested, after which it is cached in a store that
+every split of the dataset shares.
 """
 from __future__ import annotations
 
@@ -81,11 +80,7 @@ class DescriptorSet:
 
 
 class _DescriptorStore:
-    """Per-dataset descriptor cache; shared across splits of one dataset.
-
-    Loads are idempotent, so concurrent readers racing on the same
-    segment at worst parse the file twice and cache equal values.
-    """
+    """Per-dataset descriptor cache; shared across splits of one dataset."""
 
     def __init__(self) -> None:
         self.dim: int | None = None

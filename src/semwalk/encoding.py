@@ -115,8 +115,8 @@ def subsample(
         raise ValueError("no descriptor sets to subsample")
     rng = np.random.default_rng(seed)
     picked = []
-    for item in descriptor_sets:
-        values = np.asarray(getattr(item, "values", item), dtype=np.float64)
+    for values in descriptor_sets:
+        values = np.asarray(values, dtype=np.float64)
         count = math.ceil(fraction * values.shape[0])
         idx = rng.choice(values.shape[0], size=count, replace=False)
         picked.append(values[np.sort(idx)])
@@ -494,16 +494,18 @@ def load_model(path: str | Path) -> Codebook | GmmModel:
     """Read a model file written by save_model.
 
     Raises a ValueError naming the file, and the line where there is
-    one, for a malformed header or body, a non-numeric or non-finite
-    value, a variance <= 0, or mixture weights that are not all
-    positive or do not sum to 1 within 1e-9.
+    one, for a last line without its newline (save_model ends every
+    line with one, so the file was cut short), a malformed header or
+    body, a non-numeric or non-finite value, a variance <= 0, or
+    mixture weights that are not all positive or do not sum to 1
+    within 1e-9.
     """
     path = Path(path)
-    numbered = [
-        (lineno, ln)
-        for lineno, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if ln.strip()
-    ]
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if text and not text.endswith("\n"):
+        raise ValueError(f"{path}: line {len(lines)}: no newline after {lines[-1]!r}")
+    numbered = [(lineno, ln) for lineno, ln in enumerate(lines, 1) if ln.strip()]
     if not numbered:
         raise ValueError(f"{path}: empty model file")
     header_line = numbered[0][1]

@@ -10,13 +10,14 @@ class partition is computed once over every annotation in the dataset
 (train and test alike) so the true class is always well defined.
 
 All randomness derives from per-fold seed sequences keyed by the
-person's rank in the dataset, so a fold's report is identical whether
-or not other folds were requested.
+person's rank among the dataset's sorted persons.
+
+The CLI's staged commands and each fold share the stage functions
+`train_encoder`, `encode_segments` and `graph_nodes`.
 """
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -30,8 +31,6 @@ from .dataset import (
     split_lopo,
     write_descriptor_file,
 )
-
-logger = logging.getLogger(__name__)
 
 SEMBED = "sembed"
 KNN = "knn"
@@ -116,32 +115,35 @@ def _fold_seed(base_seed: int, fold_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, fold_index]).generate_state(1)[0])
 
 
-def train_encoder(pool: np.ndarray, config: EvalConfig, seed: int):
-    """A k-means codebook (bow) or a mixture (fv) of `config.gamma` parts."""
+def train_encoder(dataset: Dataset, config: EvalConfig, seed: int):
+    """A k-means codebook (bow) or a mixture (fv) of `config.gamma` parts,
+    fit on a seeded `config.fraction` of each of the dataset's videos."""
+    sets = [dataset.load_descriptors(seg).values for seg in dataset.segments]
+    pool = encoding.subsample(sets, config.fraction, seed)
     train = encoding.train_kmeans if config.encoding == encoding.BOW else encoding.train_gmm
     return train(pool, config.gamma, seed)
 
 
-def _fold_encodings(
-    dataset: Dataset,
-    train: Dataset,
-    config: EvalConfig,
-    seed: int,
-) -> tuple[dict[str, encoding.EncodedVector], tuple[str, ...]]:
-    """Train the fold's encoder and encode every segment in the dataset.
-
-    Only training descriptors feed the subsampled pool; test segments
-    are merely encoded with the resulting model.  Returns the encodings
-    and the segment ids whose descriptors entered the pool.
-    """
-    train_sets = [dataset.load_descriptors(seg).values for seg in train.segments]
-    pool = encoding.subsample(train_sets, config.fraction, seed)
-    model = train_encoder(pool, config, seed)
-    encoded = {
+def encode_segments(dataset: Dataset, model) -> dict[str, encoding.EncodedVector]:
+    """Segment id -> the encoding of that segment's descriptors under `model`."""
+    return {
         seg.segment_id: encoding.encode(model, dataset.load_descriptors(seg).values)
         for seg in dataset.segments
     }
-    return encoded, tuple(seg.segment_id for seg in train.segments)
+
+
+def graph_nodes(
+    dataset: Dataset, encoded: dict[str, encoding.EncodedVector], mode: str
+) -> list[graph.SvgNode]:
+    """One graph node per segment, labelled with its annotation under `mode`."""
+    return [
+        graph.SvgNode(
+            segment_id=seg.segment_id,
+            annotation=annotation_for(seg, mode),
+            vector=encoded[seg.segment_id],
+        )
+        for seg in dataset.segments
+    ]
 
 
 def _classify_fold(
@@ -161,15 +163,7 @@ def _classify_fold(
 
     queries = [encoded[seg.segment_id] for seg in test.segments]
     if method == SEMBED:
-        nodes = [
-            graph.SvgNode(
-                segment_id=seg.segment_id,
-                annotation=annotation_for(seg, mode),
-                vector=encoded[seg.segment_id],
-            )
-            for seg in train.segments
-        ]
-        svg = graph.build_svg(nodes, taxonomy, mode, config.m)
+        svg = graph.build_svg(graph_nodes(train, encoded, mode), taxonomy, mode, config.m)
         transitions = graph.normalize_transitions(svg)
         walk = inference.WalkConfig(z=config.z, t=config.t)
         results = inference.classify_batch(
@@ -215,7 +209,6 @@ def run_lopo(
     mode: str,
     method: str,
     config: EvalConfig,
-    persons: list[str] | None = None,
     encoder_cache: dict | None = None,
 ) -> EvalReport:
     """Leave-one-person-out evaluation over the whole dataset.
@@ -226,20 +219,9 @@ def run_lopo(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    present = dataset.persons()
-    if persons is None:
-        persons = present
-    else:
-        for person in persons:
-            if person not in present:
-                logger.warning("person %r has zero segments; skipped", person)
-        persons = [p for p in persons if p in present]
-    persons = sorted(set(persons))
-    if len(present) < 2:
+    persons = sorted(dataset.persons())
+    if len(persons) < 2:
         raise ValueError("leave-one-person-out needs at least 2 persons")
-    # Seeds key off the person's rank among all dataset persons, so a
-    # fold trains identically whether or not other folds were requested.
-    person_rank = {p: i for i, p in enumerate(sorted(present))}
 
     partition = semantics.semantic_classes(
         taxonomy, {annotation_for(seg, mode) for seg in dataset.segments}, mode
@@ -248,8 +230,8 @@ def run_lopo(
 
     records: list[QueryRecord] = []
     folds: list[FoldInfo] = []
-    for person in persons:
-        seed = _fold_seed(config.seed, person_rank[person])
+    for rank, person in enumerate(persons):
+        seed = _fold_seed(config.seed, rank)
         train, test = split_lopo(dataset, person)
         train_persons = set(train.persons())
         if person in train_persons or any(
@@ -257,21 +239,22 @@ def run_lopo(
         ):
             raise RuntimeError(f"fold hygiene violated for person {person!r}")
         cache_key = (person, config.encoding, config.gamma, config.fraction, config.seed)
-        if encoder_cache is not None and cache_key in encoder_cache:
-            encoded, encoder_ids = encoder_cache[cache_key]
-        else:
-            encoded, encoder_ids = _fold_encodings(dataset, train, config, seed)
+        encoded = None if encoder_cache is None else encoder_cache.get(cache_key)
+        if encoded is None:
+            # Only training descriptors fit the encoder; every segment is encoded.
+            encoded = encode_segments(dataset, train_encoder(train, config, seed))
             if encoder_cache is not None:
-                encoder_cache[cache_key] = (encoded, encoder_ids)
+                encoder_cache[cache_key] = encoded
         records += _classify_fold(
             train, test, encoded, taxonomy, mode, method, config, partition, cmap, seed
         )
+        train_ids = tuple(seg.segment_id for seg in train.segments)
         folds.append(
             FoldInfo(
                 person=person,
-                train_segment_ids=tuple(seg.segment_id for seg in train.segments),
+                train_segment_ids=train_ids,
                 train_persons=tuple(sorted(train_persons)),
-                encoder_segment_ids=encoder_ids,
+                encoder_segment_ids=train_ids,
             )
         )
 

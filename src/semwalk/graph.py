@@ -15,9 +15,6 @@ directions of every edge yields the transition matrix: short edges get
 high traversal probability, and rows sum to one.  The matrix is
 asymmetric in general because the two endpoints normalize over
 different neighborhoods.
-
-Built graphs and their transition matrices are immutable; share them
-freely across threads.
 """
 from __future__ import annotations
 
@@ -144,22 +141,6 @@ def rank_local(
     return int(candidates[np.argmin(distances[i, candidates])])
 
 
-def _related_matrix(
-    annotations: Sequence[str], taxonomy: semantics.Taxonomy | None, mode: str
-) -> np.ndarray:
-    """Pairwise relation table, computed once per distinct label pair."""
-    unique = sorted(set(annotations))
-    table = np.zeros((len(unique), len(unique)), dtype=bool)
-    for a, label in enumerate(unique):
-        for b in range(a, len(unique)):
-            table[a, b] = table[b, a] = semantics.related(
-                taxonomy, mode, label, unique[b]
-            )
-    code = {label: a for a, label in enumerate(unique)}
-    codes = np.array([code[label] for label in annotations])
-    return table[np.ix_(codes, codes)]
-
-
 def build_svg(
     nodes: Sequence[SvgNode],
     taxonomy: semantics.Taxonomy | None,
@@ -182,7 +163,7 @@ def build_svg(
     if any(v is None for v in vectors):
         raise ValueError("all nodes must carry encoded vectors")
     distances = distance_matrix(vectors)
-    related_pair = _related_matrix(annotations, taxonomy, mode)
+    related_pair = semantics.relation_table(taxonomy, annotations, mode)
 
     # Edges are marked in the upper triangle, so nonzero lists them in
     # canonical (i, j) order.
@@ -220,11 +201,20 @@ def normalize_transitions(graph: SvgGraph) -> csr_array:
             f"non-positive edge weight {float(weights[bad[0]])} "
             f"out of node {int(rows[bad[0]])}"
         )
-    recip = 1.0 / weights
+    # A tiny weight overflows its reciprocal, or the row's sum, to inf;
+    # that row is rejected below instead of turning into NaN or zeros.
+    with np.errstate(over="ignore"):
+        recip = 1.0 / weights
     recip_sums = np.bincount(rows, weights=recip, minlength=n)
     if np.any(recip_sums == 0.0):
         missing = int(np.argmax(recip_sums == 0.0))
         raise ValueError(f"node {missing} has no outgoing edges")
+    overflow = np.flatnonzero(~np.isfinite(recip_sums))
+    if overflow.size:
+        raise ValueError(
+            f"reciprocal edge weights out of node {int(overflow[0])} sum to "
+            f"{float(recip_sums[overflow[0]])}, not a finite number"
+        )
     return csr_array((recip / recip_sums[rows], (rows, cols)), shape=(n, n))
 
 

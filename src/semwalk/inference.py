@@ -17,9 +17,6 @@ n x k matrix.  Each column gets exactly the floats it would get alone.
 A walk takes the transpose of the transition matrix once and applies
 it t times; the node -> class index comes from the graph's annotation
 codes, so each call maps only the graph's distinct annotations.
-
-Everything here is a pure function of immutable inputs; queries may be
-classified concurrently without coordination.
 """
 from __future__ import annotations
 

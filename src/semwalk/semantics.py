@@ -15,13 +15,16 @@ annotations:
 * ``ah``   - ``as`` holds, or one meaning is an ancestor of the other
   along the parent chain (any depth).
 
-All predicates are pure and the taxonomy is immutable after parsing, so
-everything here is safe for unrestricted concurrent use.
+`relation_table` evaluates `related` once per distinct label pair; the
+graph's semantic edges and the semantic classes are both read from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .dataset import parse_meaning_id
 
@@ -142,6 +145,25 @@ def related(taxonomy: Taxonomy | None, mode: str, a: str, b: str) -> bool:
     return a in taxonomy.ancestors(b) or b in taxonomy.ancestors(a)
 
 
+def relation_table(
+    taxonomy: Taxonomy | None, labels: Sequence[str], mode: str
+) -> np.ndarray:
+    """`related` over every pair of `labels`, as a boolean table indexed by them.
+
+    Each distinct pair of labels is compared once, each label with
+    itself included, so a label the taxonomy lacks raises even when it
+    is the only one.  Labels may repeat.
+    """
+    unique = sorted(set(labels))
+    table = np.zeros((len(unique), len(unique)), dtype=bool)
+    for a, label in enumerate(unique):
+        for b in range(a, len(unique)):
+            table[a, b] = table[b, a] = related(taxonomy, mode, label, unique[b])
+    code = {label: a for a, label in enumerate(unique)}
+    codes = np.array([code[label] for label in labels], dtype=np.intp)
+    return table[np.ix_(codes, codes)]
+
+
 def semantic_classes(
     taxonomy: Taxonomy | None, annotations: set[str] | list[str], mode: str
 ) -> list[tuple[str, ...]]:
@@ -153,30 +175,20 @@ def semantic_classes(
     sorted, and components are ordered by their smallest member.
     """
     items = sorted(set(annotations))
-    adjacency: dict[str, list[str]] = {a: [] for a in items}
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            if related(taxonomy, mode, a, b):
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-    classes: list[tuple[str, ...]] = []
-    unvisited = set(items)
-    for a in items:
-        if a not in unvisited:
-            continue
-        stack = [a]
-        component = []
-        unvisited.discard(a)
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for nb in adjacency[node]:
-                if nb in unvisited:
-                    unvisited.discard(nb)
-                    stack.append(nb)
-        classes.append(tuple(sorted(component)))
-    classes.sort(key=lambda c: c[0])
-    return classes
+    linked = relation_table(taxonomy, items, mode)
+    # Each label takes the smallest root among the labels related to it
+    # until nothing changes: its component's smallest index, which is
+    # the class name because the labels are sorted.
+    root = np.arange(len(items))
+    while True:
+        lowest = np.where(linked, root, len(items)).min(axis=1, initial=len(items))
+        if np.array_equal(lowest, root):
+            break
+        root = lowest
+    components: dict[int, list[str]] = {}
+    for item, r in zip(items, root.tolist()):
+        components.setdefault(r, []).append(item)
+    return [tuple(component) for component in components.values()]
 
 
 def class_map(classes: list[tuple[str, ...]]) -> dict[str, str]:

@@ -5,7 +5,17 @@ import pytest
 
 from semwalk.cli import _DEST, _Options, build_parser, dispatch
 from semwalk.dataset import parse_manifest
-from semwalk.evaluation import EvalConfig, SyntheticSpec, format_report, run_lopo
+from semwalk.encoding import load_model, save_model
+from semwalk.evaluation import (
+    EvalConfig,
+    SyntheticSpec,
+    encode_segments,
+    format_report,
+    graph_nodes,
+    run_lopo,
+    train_encoder,
+)
+from semwalk.graph import build_svg, save_graph
 from semwalk.inference import WalkConfig
 from semwalk.semantics import parse_taxonomy
 
@@ -230,6 +240,37 @@ class TestClassifyFlow:
         assert first[1] == first[2]  # training video classifies to itself
         assert 0.0 < float(first[3]) <= 1.0
         assert ":" in first[4]
+
+    @pytest.mark.parametrize("kind, gamma", [("bow", 4), ("fv", 2)])
+    def test_encode_writes_the_train_encoder_model(self, tmp_path, kind, gamma):
+        data = gen(tmp_path, "data")
+        model = tmp_path / "model.txt"
+        argv = [
+            "encode", "--manifest", str(data / "manifest.tsv"), "--encoding", kind,
+            "--gamma", str(gamma), "--fraction", "0.5", "--seed", "1", "--out", str(model),
+        ]
+        assert dispatch(argv) == 0
+        config = EvalConfig(encoding=kind, gamma=gamma, fraction=0.5, seed=1)
+        save_model(train_encoder(parse_manifest(data / "manifest.tsv"), config, 1),
+                   tmp_path / "library.txt")
+        assert model.read_bytes() == (tmp_path / "library.txt").read_bytes()
+
+    def test_build_graph_writes_the_stage_functions_graph(self, tmp_path):
+        data = gen(tmp_path, "data")
+        model, graph_file = tmp_path / "model.txt", tmp_path / "graph.txt"
+        manifest, taxonomy = data / "manifest.tsv", data / "taxonomy.tsv"
+        assert dispatch(
+            ["encode", "--manifest", str(manifest), "--encoding", "bow",
+             "--gamma", "4", "--out", str(model)]
+        ) == 0
+        assert dispatch(
+            ["build-graph", "--manifest", str(manifest), "--taxonomy", str(taxonomy),
+             "--mode", "ah", "--model", str(model), "--m", "7", "--out", str(graph_file)]
+        ) == 0
+        ds = parse_manifest(manifest)
+        nodes = graph_nodes(ds, encode_segments(ds, load_model(model)), "ah")
+        save_graph(build_svg(nodes, parse_taxonomy(taxonomy), "ah", 7), tmp_path / "library.txt")
+        assert graph_file.read_bytes() == (tmp_path / "library.txt").read_bytes()
 
     def test_classify_missing_graph_names_flag(self, tmp_path, capsys):
         code = dispatch(["classify", "--manifest", "x.tsv", "--model", "m.txt"])

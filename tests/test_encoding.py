@@ -541,3 +541,67 @@ class TestModelFiles:
     def test_weights_not_summing_to_one(self, tmp_path):
         text = self.GMM_TEXT.replace("0.25 0.75", "0.75 0.75")
         self._rejected(tmp_path, text, "weights sum to 1.5")
+
+    def test_last_line_without_newline_rejected(self, tmp_path):
+        # Cutting the last centre short used to load it as 4.0, 4.1 or 4.12.
+        text = "bow 2 2\n1.0 2.5\n3.25 4.125\n"
+        for cut in range(22, 26):
+            message = self._rejected(tmp_path, text[:cut], "line 3: no newline after")
+            assert repr(text[:cut].splitlines()[-1]) in message
+        path = tmp_path / "model.txt"
+        path.write_text(text, encoding="utf-8")
+        assert np.array_equal(load_model(path).centers, [[1.0, 2.5], [3.25, 4.125]])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    """Any codebook or mixture save_model can write and load_model accepts."""
+    gamma, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    means = draw(hnp.arrays(np.float64, (gamma, dim), elements=finite))
+    if draw(st.booleans()):
+        return Codebook(centers=means, inertia_history=[])
+    raw = draw(hnp.arrays(np.float64, gamma, elements=st.floats(1e-3, 1.0)))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return GmmModel(
+        weights=raw / raw.sum(),
+        means=means,
+        variances=draw(hnp.arrays(np.float64, (gamma, dim), elements=positive)),
+        log_likelihood_history=[],
+    )
+
+
+def _arrays(model):
+    if isinstance(model, Codebook):
+        return [model.centers]
+    return [model.weights, model.means, model.variances]
+
+
+class TestModelFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(model=models())
+    def test_save_load_save_same_bytes_and_bits(self, tmp_path_factory, model):
+        first = tmp_path_factory.mktemp("model") / "a.txt"
+        second = first.with_name("b.txt")
+        save_model(model, first)
+        loaded = load_model(first)
+        assert type(loaded) is type(model)
+        for got, want in zip(_arrays(loaded), _arrays(model)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        save_model(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(model=models())
+    def test_every_strict_prefix_raises_value_error(self, tmp_path_factory, model):
+        full = tmp_path_factory.mktemp("model") / "full.txt"
+        path = full.with_name("cut.txt")
+        save_model(model, full)
+        text = full.read_text(encoding="utf-8")
+        for cut in range(len(text)):
+            path.write_text(text[:cut], encoding="utf-8")
+            with pytest.raises(ValueError) as error:
+                load_model(path)
+            assert str(error.value).startswith(f"{path}: ")

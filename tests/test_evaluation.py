@@ -190,15 +190,6 @@ class TestRunLopo:
         assert 0.0 <= report.accuracy <= 1.0
         assert all(rec.distribution for rec in report.records)
 
-    def test_unknown_person_skipped_with_warning(self, small_dataset, caplog):
-        ds, tax = small_dataset
-        with caplog.at_level("WARNING"):
-            report = run_lopo(
-                ds, tax, AS, "knn", SMALL_CONFIG, persons=["p0", "p9"]
-            )
-        assert "p9" in caplog.text
-        assert {rec.person_id for rec in report.records} == {"p0"}
-
     def test_single_person_rejected(self, tmp_path):
         from conftest import write_manifest
         from semwalk.dataset import write_descriptor_file

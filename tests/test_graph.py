@@ -29,6 +29,9 @@ from _oracles import (
 )
 from conftest import vec
 
+# A NaN or all-zero transition row must be an error, not a warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def make_nodes(points, labels, kind="fv"):
     return [
@@ -361,6 +364,18 @@ class TestTransitions:
     def test_non_positive_weight_rejected(self):
         g = self._graph_from_edges(3, [(0, 1, 1.0), (1, 2, 0.0)])
         with pytest.raises(ValueError, match="non-positive edge weight 0.0 out of node 1"):
+            normalize_transitions(g)
+
+    def test_subnormal_weight_rejected(self):
+        # 1 / 5e-324 overflows to inf, which made the row NaN.
+        g = self._graph_from_edges(3, [(0, 1, 1.0), (1, 2, 5e-324)])
+        with pytest.raises(ValueError, match="out of node 1 sum to inf, not a finite"):
+            normalize_transitions(g)
+
+    def test_overflowing_reciprocal_sum_rejected(self):
+        # Each reciprocal is finite, their sum is not: the row summed to 0.
+        g = self._graph_from_edges(3, [(0, 1, 1e-308), (0, 2, 1e-308)])
+        with pytest.raises(ValueError, match="out of node 0 sum to inf, not a finite"):
             normalize_transitions(g)
 
     def test_node_without_edges_rejected(self):

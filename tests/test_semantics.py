@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import semwalk.semantics
 from semwalk.semantics import (
     AH,
     AM,
@@ -13,6 +14,7 @@ from semwalk.semantics import (
     class_map,
     parse_taxonomy,
     related,
+    relation_table,
     semantic_classes,
 )
 
@@ -161,6 +163,26 @@ class TestSemanticClasses:
             ]
             assert counts[0] >= counts[1] >= counts[2]
 
+    def test_matches_closure_oracle_on_random_taxonomies(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            lines, ids = random_taxonomy_lines(rng, int(rng.integers(1, 15)))
+            path = tmp_path / f"t{trial}.tsv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            tax = parse_taxonomy(path)
+            subset = [i for i in ids if rng.random() < 0.7] or ids[:1]
+            for mode in MEANING_MODES:
+                expected = closure_partition(
+                    sorted(set(subset)), lambda a, b: related(tax, mode, a, b)
+                )
+                got = semantic_classes(tax, subset, mode)
+                assert got == sorted(tuple(sorted(c)) for c in expected)
+
+    @pytest.mark.parametrize("mode", MEANING_MODES)
+    def test_lone_unknown_meaning_rejected(self, taxonomy, mode):
+        with pytest.raises(ValueError, match="'bogus.v.1' not present"):
+            semantic_classes(taxonomy, {"bogus.v.1"}, mode)
+
     def test_class_map_names_by_smallest(self, taxonomy):
         classes = semantic_classes(taxonomy, {"put.v.1", "place.v.1"}, AS)
         assert class_map(classes) == {
@@ -171,3 +193,29 @@ class TestSemanticClasses:
     def test_verb_mode_partition(self):
         classes = semantic_classes(None, {"put", "take", "put"}, VERB)
         assert classes == [("put",), ("take",)]
+
+
+class TestRelationTable:
+    def test_matches_related_with_repeated_labels(self, taxonomy):
+        labels = ["wash.v.3", "put.v.1", "rinse.v.1", "put.v.1", "place.v.1", "wash.v.3"]
+        for mode in MEANING_MODES:
+            table = relation_table(taxonomy, labels, mode)
+            assert table.dtype == bool and table.shape == (6, 6)
+            for (i, a), (j, b) in itertools.product(enumerate(labels), repeat=2):
+                assert table[i, j] == related(taxonomy, mode, a, b)
+
+    def test_each_distinct_pair_compared_once(self, taxonomy, monkeypatch):
+        pairs = []
+
+        def counting(tax, mode, a, b):
+            pairs.append((a, b))
+            return related(tax, mode, a, b)
+
+        monkeypatch.setattr(semwalk.semantics, "related", counting)
+        relation_table(taxonomy, FIG_IDS + FIG_IDS[:3], AH)
+        unordered = {frozenset(pair) for pair in pairs}
+        assert len(pairs) == len(unordered) == len(FIG_IDS) * (len(FIG_IDS) + 1) // 2
+
+    def test_empty(self):
+        assert relation_table(None, [], VERB).shape == (0, 0)
+        assert semantic_classes(None, [], VERB) == []
