@@ -28,7 +28,7 @@ _DEFAULTS: dict[str, object] = {"mode": semantics.VERB, "method": evaluation.SEM
 
 # argparse destinations that differ from the option name; every other
 # option is named after the dataclass field it sets
-_DEST = {"lambda": "lam", "points": "points_per_cluster"}
+_DEST = {option: field for field, option in evaluation.OPTION_NAMES.items()}
 
 # Numeric defaults live in the dataclasses; the CLI only borrows their types.
 _CONVERTERS: dict[str, type] = {

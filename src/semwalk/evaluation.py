@@ -18,7 +18,7 @@ The CLI's staged commands and each fold share the stage functions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,9 @@ LINEAR = "linear"
 METHODS = (SEMBED, KNN, LINEAR)
 ENCODINGS = (encoding.BOW, encoding.FV)
 SWEEP_KEYS = ("z", "t", "m", "gamma", "k")
+# Option names that differ from the config field they set; every other
+# option is named after its field.  Report headers use the same names.
+OPTION_NAMES = {"lam": "lambda", "points_per_cluster": "points"}
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,8 @@ class EvalConfig:
 
     `gamma` left as None takes the encoding's default codebook or
     mixture size, set in `__post_init__`.  The CLI builds its config
-    from these fields, so both share every default.
+    from these fields, so both share every default, and a report's
+    header lists them in this order.
     """
 
     encoding: str = encoding.FV
@@ -57,9 +61,9 @@ class EvalConfig:
     k: int = 5
     lam: float = 0.5
     fraction: float = 0.25
-    seed: int = 0
     epochs: int = 100
     step: float = 0.1
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.encoding not in ENCODINGS:
@@ -102,11 +106,7 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    z: int
-    t: int
-    m: int
-    gamma: int
-    k: int
+    config: EvalConfig
     accuracy: float
 
 
@@ -234,9 +234,7 @@ def run_lopo(
         seed = _fold_seed(config.seed, rank)
         train, test = split_lopo(dataset, person)
         train_persons = set(train.persons())
-        if person in train_persons or any(
-            seg.person_id == person for seg in train.segments
-        ):
+        if person in train_persons:
             raise RuntimeError(f"fold hygiene violated for person {person!r}")
         cache_key = (person, config.encoding, config.gamma, config.fraction, config.seed)
         encoded = None if encoder_cache is None else encoder_cache.get(cache_key)
@@ -267,28 +265,15 @@ def run_lopo(
     for rec in records:
         confusion[index[rec.true_class], index[rec.predicted_class]] += 1
         correct += rec.true_class == rec.predicted_class
-    snapshot: dict[str, object] = {"method": method, "mode": mode}
-    snapshot.update(
-        {
-            "encoding": config.encoding,
-            "gamma": config.gamma,
-            "m": config.m,
-            "z": config.z,
-            "t": config.t,
-            "k": config.k,
-            "lambda": config.lam,
-            "fraction": config.fraction,
-            "epochs": config.epochs,
-            "step": config.step,
-            "seed": config.seed,
-        }
-    )
+    header: dict[str, object] = {"method": method, "mode": mode} | {
+        OPTION_NAMES.get(f.name, f.name): getattr(config, f.name) for f in fields(config)
+    }
     return EvalReport(
         records=records,
         accuracy=correct / len(records) if records else 0.0,
         classes=class_names,
         confusion=confusion,
-        config=snapshot,
+        config=header,
         folds=folds,
     )
 
@@ -303,34 +288,33 @@ def sweep(
 ) -> list[SweepPoint]:
     """One LOPO run per grid point, in deterministic product order.
 
-    Grid keys are any of z, t, m, gamma, k; missing keys fall back to
-    the base config's value.  Fold encoders are cached per gamma so
-    walk-parameter points do not retrain models.
+    Grid keys are any of `SWEEP_KEYS`, each with a non-empty list;
+    missing keys fall back to the base config's value.  Fold encoders
+    are cached per gamma so walk-parameter points do not retrain models.
     """
-    for key in grid:
+    for key, values in grid.items():
         if key not in SWEEP_KEYS:
             raise ValueError(f"unknown sweep key {key!r}")
+        if not values:
+            raise ValueError(f"empty sweep list for {key!r}")
     if not grid:
         raise ValueError("empty sweep grid")
     axes = [list(grid.get(key, [getattr(base, key)])) for key in SWEEP_KEYS]
     cache: dict = {}
     points = []
-    for z, t, m, gamma, k in itertools.product(*axes):
-        config = replace(base, z=z, t=t, m=m, gamma=gamma, k=k)
-        report = run_lopo(
-            dataset, taxonomy, mode, method, config, encoder_cache=cache
-        )
-        points.append(
-            SweepPoint(z=z, t=t, m=m, gamma=gamma, k=k, accuracy=report.accuracy)
-        )
+    for values in itertools.product(*axes):
+        config = replace(base, **dict(zip(SWEEP_KEYS, values)))
+        report = run_lopo(dataset, taxonomy, mode, method, config, encoder_cache=cache)
+        points.append(SweepPoint(config=config, accuracy=report.accuracy))
     return points
 
 
 def format_sweep(points: list[SweepPoint]) -> str:
-    """Tab-separated sweep table with a stable column order."""
-    lines = ["z\tt\tm\tgamma\tk\taccuracy"]
+    """Tab-separated sweep table: the `SWEEP_KEYS` columns, then accuracy."""
+    lines = ["\t".join((*SWEEP_KEYS, "accuracy"))]
     for p in points:
-        lines.append(f"{p.z}\t{p.t}\t{p.m}\t{p.gamma}\t{p.k}\t{p.accuracy!r}")
+        cells = [str(getattr(p.config, key)) for key in SWEEP_KEYS]
+        lines.append("\t".join((*cells, repr(p.accuracy))))
     return "\n".join(lines) + "\n"
 
 

@@ -109,36 +109,31 @@ def distance_matrix(vectors: Sequence[EncodedVector]) -> np.ndarray:
     return (dist + dist.T) / 2.0
 
 
-def rank_global(
-    distances: np.ndarray, related_pair: np.ndarray
-) -> list[tuple[int, int]]:
-    """All semantically unrelated pairs, closest first.
+def rank_global(distances: np.ndarray, related_pair: np.ndarray) -> np.ndarray:
+    """All semantically unrelated pairs, closest first, as an E x 2 intp array.
 
-    Pairs are (i, j) with i < j, sorted by ascending distance with ties
+    Row k is a pair (i, j) with i < j; rows ascend by distance with ties
     broken by (i, j).  Related pairs never appear; if every pair is
-    related the ranking is empty.
+    related the array has no rows.
     """
-    i, j = np.triu_indices(distances.shape[0], k=1)
-    unrelated = ~related_pair[i, j]
-    i, j = i[unrelated], j[unrelated]
-    order = np.lexsort((j, i, distances[i, j]))
-    return list(zip(i[order].tolist(), j[order].tolist()))
+    i, j = np.nonzero(np.triu(~related_pair, k=1))
+    # nonzero lists pairs in (i, j) order, and a stable sort keeps it on ties.
+    order = np.argsort(distances[i, j], kind="stable")
+    return np.column_stack((i[order], j[order]))
 
 
-def rank_local(
-    distances: np.ndarray, related_pair: np.ndarray, i: int
-) -> int | None:
-    """Index of node i's closest semantically unrelated node, if any.
+def rank_local(distances: np.ndarray, related_pair: np.ndarray) -> np.ndarray:
+    """Each node's closest semantically unrelated node, as an intp array.
 
-    Ties go to the lowest index; returns None when every other node is
-    related to i (no local visual edge is needed then).
+    Ties go to the lowest index; a node related to every other node gets
+    -1 (no local visual edge is needed then).
     """
-    candidates = np.flatnonzero(~related_pair[i])
-    candidates = candidates[candidates != i]
-    if candidates.size == 0:
-        return None
-    # argmin returns the first minimum, and candidates ascend.
-    return int(candidates[np.argmin(distances[i, candidates])])
+    unrelated = ~related_pair
+    np.fill_diagonal(unrelated, False)
+    # argmin returns the first minimum, so ties go to the lowest index.
+    partner = np.argmin(np.where(unrelated, distances, np.inf), axis=1)
+    partner[~unrelated.any(axis=1)] = -1
+    return partner
 
 
 def build_svg(
@@ -168,12 +163,11 @@ def build_svg(
     # Edges are marked in the upper triangle, so nonzero lists them in
     # canonical (i, j) order.
     marked = np.triu(related_pair, k=1)
-    for i, j in rank_global(distances, related_pair)[:m]:
-        marked[i, j] = True
-    for i in range(len(nodes)):
-        j = rank_local(distances, related_pair, i)
-        if j is not None:
-            marked[min(i, j), max(i, j)] = True
+    top = rank_global(distances, related_pair)[:m]
+    marked[top[:, 0], top[:, 1]] = True
+    partner = rank_local(distances, related_pair)
+    node = np.flatnonzero(partner >= 0)
+    marked[np.minimum(node, partner[node]), np.maximum(node, partner[node])] = True
     i, j = np.nonzero(marked)
     return SvgGraph(
         nodes=list(nodes), ends=np.column_stack((i, j)),

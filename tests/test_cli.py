@@ -341,6 +341,20 @@ class TestSweep:
             ["2", "0", "240", "4"], ["2", "2", "240", "4"],
         ]
 
+    def test_empty_grid_list_rejected(self, tmp_path, capsys):
+        data = gen(tmp_path, "data")
+        capsys.readouterr()
+        code = dispatch(
+            [
+                "sweep", "--manifest", str(data / "manifest.tsv"),
+                "--method", "knn", "--encoding", "bow", "--z", "1", "--k", ",",
+            ]
+        )
+        assert code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "semwalk: error: empty sweep list for 'k'\n"
+
     def test_sweep_without_grid_rejected(self, tmp_path, capsys):
         data = gen(tmp_path, "data")
         code = dispatch(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semwalk.evaluation
 from semwalk.dataset import parse_manifest, read_descriptor_file
 from semwalk.evaluation import (
     EvalConfig,
@@ -141,6 +142,23 @@ class TestRunLopo:
             for sid in fold.encoder_segment_ids:
                 assert by_person[sid] != fold.person
 
+    def test_encoder_trains_on_the_recorded_segments(self, small_dataset, monkeypatch):
+        ds, tax = small_dataset
+        trained_on = []
+        train_encoder = semwalk.evaluation.train_encoder
+
+        def recording(dataset, config, seed):
+            trained_on.append(tuple(seg.segment_id for seg in dataset.segments))
+            return train_encoder(dataset, config, seed)
+
+        monkeypatch.setattr(semwalk.evaluation, "train_encoder", recording)
+        report = run_lopo(ds, tax, AS, "knn", SMALL_CONFIG)
+        assert len(trained_on) == len(report.folds)
+        by_person = {seg.segment_id: seg.person_id for seg in ds.segments}
+        for ids, fold in zip(trained_on, report.folds):
+            assert ids == fold.encoder_segment_ids
+            assert all(by_person[sid] != fold.person for sid in ids)
+
     def test_every_record_from_its_person_fold(self, small_dataset):
         ds, tax = small_dataset
         report = run_lopo(ds, tax, AS, "knn", SMALL_CONFIG)
@@ -231,7 +249,7 @@ class TestSweep:
             ds, tax, AS, "sembed", {"z": [1, 2], "t": [0, 1]}, SMALL_CONFIG
         )
         assert len(points) == 4
-        assert [(p.z, p.t) for p in points] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        assert [(p.config.z, p.config.t) for p in points] == [(1, 0), (1, 1), (2, 0), (2, 1)]
 
     def test_repeated_point_identical(self, small_dataset):
         ds, tax = small_dataset
@@ -251,6 +269,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="grid"):
             sweep(ds, tax, AS, "knn", {}, SMALL_CONFIG)
 
+    def test_empty_list_rejected_before_any_fold(self, small_dataset, monkeypatch):
+        ds, tax = small_dataset
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_lopo called")
+
+        monkeypatch.setattr(semwalk.evaluation, "run_lopo", no_run)
+        with pytest.raises(ValueError, match="empty sweep list for 'z'"):
+            sweep(ds, tax, AS, "knn", {"t": [1], "z": []}, SMALL_CONFIG)
+
     def test_unknown_key_rejected(self, small_dataset):
         ds, tax = small_dataset
         with pytest.raises(ValueError, match="sweep key"):
@@ -264,8 +292,12 @@ class TestReportFile:
         path = tmp_path / "report.txt"
         write_report(report, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "method=sembed"
-        assert lines[1] == "mode=as"
+        assert lines[:13] == [
+            "method=sembed", "mode=as", "encoding=bow", "gamma=4", "m=50", "z=3",
+            "t=4", "k=1", "lambda=0.5", "fraction=0.5", "epochs=100", "step=0.1",
+            "seed=2",
+        ]
+        assert lines[13].startswith("record\t")
         records = [ln for ln in lines if ln.startswith("record\t")]
         assert len(records) == len(ds.segments)
         assert any(ln.startswith("accuracy=") for ln in lines)

