@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import EncodedVector, distance, stack
+from .encoding import EncodedVector, distance
 
 # L2 shrink applied to the scorers at every SGD step.
 REG = 1e-4
@@ -42,21 +42,19 @@ def class_weights(priors: dict[str, float], lam: float) -> dict[str, float]:
 
 
 def knn_vote(
-    train_vectors: Sequence[EncodedVector] | EncodedVector,
+    train_vectors: EncodedVector,
     train_labels: Sequence[str],
     query: EncodedVector,
     k: int,
 ) -> tuple[str, dict[str, float]]:
     """Majority vote over the k nearest neighbors, with vote shares.
 
-    `train_vectors` may come already stacked (`encoding.stack`), so a
-    caller with many queries stacks the training set once.  Neighbor
-    selection orders by (distance, index); vote ties prefer the tied
-    class with the smaller mean neighbor distance, then the
+    `train_vectors` is the training set stacked once (`encoding.stack`).
+    Neighbor selection orders by (distance, index); vote ties prefer the
+    tied class with the smaller mean neighbor distance, then the
     lexicographically smaller name.  k is clamped to the training size.
     """
-    stacked = isinstance(train_vectors, EncodedVector)
-    size = train_vectors.values.shape[0] if stacked else len(train_vectors)
+    size = train_vectors.values.shape[0]
     if size == 0:
         raise ValueError("empty training set")
     if size != len(train_labels):
@@ -64,7 +62,7 @@ def knn_vote(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, size)
-    dists = distance(query, train_vectors if stacked else stack(train_vectors))
+    dists = distance(query, train_vectors)
     order = np.argsort(dists, kind="stable")[:k]
     votes: dict[str, int] = {}
     dist_sums: dict[str, float] = {}
@@ -89,7 +87,7 @@ class LinearModel:
 
 
 def train_weighted_linear(
-    train_vectors: Sequence[EncodedVector],
+    train_vectors: EncodedVector,
     train_labels: Sequence[str],
     weights: dict[str, float],
     epochs: int = 100,
@@ -98,18 +96,19 @@ def train_weighted_linear(
 ) -> LinearModel:
     """Train one-vs-all hinge-loss scorers by seeded SGD.
 
+    `train_vectors` is the training set stacked (`encoding.stack`).
     Each epoch shuffles the samples with the seeded generator and takes
     one subgradient step per sample per class scorer, scaling the hinge
     subgradient by the sample's class weight, and shrinks every scorer
     by the fixed L2 factor `REG` (the encoded inputs are already
     normalized by construction).  Deterministic for a fixed seed.
     """
-    if len(train_vectors) != len(train_labels):
+    x = train_vectors.values
+    if x.shape[0] != len(train_labels):
         raise ValueError("vectors and labels differ in length")
-    if not train_vectors:
+    if not train_labels:
         raise ValueError("empty training set")
     classes = tuple(sorted(set(train_labels)))
-    x = np.vstack([v.values for v in train_vectors])
     dim = x.shape[1]
     w = np.zeros((len(classes), dim))
     b = np.zeros(len(classes))

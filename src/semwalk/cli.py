@@ -203,12 +203,12 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     cmap = semantics.class_map(classes)
 
     walk = opts.config(inference.WalkConfig)
+    vectors = list(evaluation.encode_segments(queries, model).values())
+    results = inference.classify_batch(
+        svg, transitions, taxonomy, mode, vectors, walk, classes=classes
+    )
     lines = []
-    for seg in queries.segments:
-        vector = encoding.encode(model, queries.load_descriptors(seg).values)
-        label, dist = inference.classify(
-            svg, transitions, taxonomy, mode, vector, walk, classes=classes
-        )
+    for seg, (label, dist) in zip(queries.segments, results):
         ann = query_annotations[seg.segment_id]
         true_class = cmap[ann] if ann is not None else "-"
         line = f"{seg.segment_id}\t{label}\t{true_class}\t{dist[label]!r}"
@@ -254,11 +254,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     method = _check_method(opts.get("method"))
     # The grid keys hold comma-separated lists, not single values.
     base = opts.config(evaluation.EvalConfig, exclude=evaluation.SWEEP_KEYS)
-    taxonomy = _taxonomy_for(opts, mode)
-    ds = parse_manifest(opts.get("manifest", required=True))
-    sample = opts.get("sample")
-    if sample is not None:
-        ds = sample_segments(ds, sample, base.seed)
     grid: dict[str, list] = {}
     for key in evaluation.SWEEP_KEYS:
         raw = opts.ns.get(key)
@@ -266,8 +261,15 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             raw = opts.file[key][1]
         if raw is not None:
             grid[key] = _int_list(raw)
+            if not grid[key]:
+                raise CliError(f"empty sweep list for {key!r}")
     if not grid:
         raise CliError("sweep needs at least one of --z/--t/--m/--gamma/--k")
+    taxonomy = _taxonomy_for(opts, mode)
+    ds = parse_manifest(opts.get("manifest", required=True))
+    sample = opts.get("sample")
+    if sample is not None:
+        ds = sample_segments(ds, sample, base.seed)
     points = evaluation.sweep(ds, taxonomy, mode, method, grid, base)
     text = evaluation.format_sweep(points)
     out = opts.get("out")

@@ -71,10 +71,6 @@ class DescriptorSet:
     values: np.ndarray
 
     @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.values.shape[1]
 
@@ -111,11 +107,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.segments)
-
-    @property
-    def dim(self) -> int | None:
-        """Shared descriptor dimensionality, known once any file is loaded."""
-        return self._store.dim
 
     def persons(self) -> list[str]:
         """Distinct person ids in first-appearance order."""
@@ -210,8 +201,9 @@ def parse_manifest(path: str | Path) -> Dataset:
     """Parse a manifest into a Dataset, preserving line order.
 
     Descriptor files are not touched; they load lazily on first use.
-    Raises ValueError for malformed lines (with the line number),
-    duplicate segment ids (with both line numbers) and empty manifests.
+    Raises ValueError naming the file for malformed lines and meaning
+    ids (with the line number), duplicate segment ids (with both line
+    numbers) and empty manifests.
     """
     path = Path(path)
     base = path.parent
@@ -239,7 +231,10 @@ def parse_manifest(path: str | Path) -> Dataset:
             if meaning == "-":
                 parsed_meaning = None
             else:
-                parse_meaning_id(meaning)
+                try:
+                    parse_meaning_id(meaning)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
                 parsed_meaning = meaning
             segments.append(
                 VideoSegment(

@@ -49,8 +49,8 @@ _BLOCK_DOUBLES = 2**14
 class EncodedVector:
     """A fixed-length vector of one kind ("bow" or "fv").
 
-    `values` may also hold several encodings of that kind stacked
-    row-wise (see `stack`), which `distance` compares against at once.
+    `values` is one encoding, or, from `stack`, several encodings of
+    that kind stacked row-wise: the form `distance` compares against.
     """
 
     values: np.ndarray
@@ -433,22 +433,20 @@ def stack(vectors: Sequence[EncodedVector]) -> EncodedVector:
     return EncodedVector(values=np.vstack([v.values for v in vectors]), kind=kinds.pop())
 
 
-def distance(a: EncodedVector, b: EncodedVector) -> float | np.ndarray:
-    """Euclidean distance between two encodings of the same kind.
+def distance(a: EncodedVector, b: EncodedVector) -> np.ndarray:
+    """Euclidean distances from one encoding to each row of a stack.
 
-    `b` may stack encodings row-wise; the result is then an array with
-    one distance per row.  Every distance is sqrt(vecdot(a - b, a - b)),
-    the same bits whether it is computed alone or in a stack.
+    `b` is encodings of `a`'s kind stacked row-wise (`stack`); the
+    result holds one distance per row, each sqrt(vecdot(a - b, a - b)).
     """
     if a.kind != b.kind:
         raise ValueError(f"encoding kind mismatch: {a.kind!r} vs {b.kind!r}")
-    if a.values.ndim != 1 or b.values.ndim > 2 or b.values.shape[-1:] != a.values.shape:
+    if a.values.ndim != 1 or b.values.ndim != 2 or b.values.shape[1:] != a.values.shape:
         raise ValueError(
             f"encoding length mismatch: {a.values.shape} vs {b.values.shape}"
         )
     diff = a.values - b.values
-    dists = np.sqrt(np.vecdot(diff, diff))
-    return float(dists) if b.values.ndim == 1 else dists
+    return np.sqrt(np.vecdot(diff, diff))
 
 
 def _format_row(values: np.ndarray) -> str:

@@ -48,9 +48,10 @@ class EvalConfig:
     """Numeric knobs shared by every method.
 
     `gamma` left as None takes the encoding's default codebook or
-    mixture size, set in `__post_init__`.  The CLI builds its config
-    from these fields, so both share every default, and a report's
-    header lists them in this order.
+    mixture size, set in `__post_init__`, which also rejects a size,
+    edge budget, neighbor count or walk setting no run can use.  The
+    CLI builds its config from these fields, so both share every
+    default, and a report's header lists them in this order.
     """
 
     encoding: str = encoding.FV
@@ -72,6 +73,10 @@ class EvalConfig:
             )
         if self.gamma is None:
             object.__setattr__(self, "gamma", 256 if self.encoding == encoding.BOW else 10)
+        for name, low in (("gamma", 1), ("m", 0), ("k", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        inference.WalkConfig(z=self.z, t=self.t)
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,7 @@ def _classify_fold(
         priors = baselines.class_priors(train_classes)
         weights = baselines.class_weights(priors, config.lam)
         model = baselines.train_weighted_linear(
-            train_vectors,
+            encoding.stack(train_vectors),
             train_classes,
             weights,
             epochs=config.epochs,
@@ -289,7 +294,8 @@ def sweep(
     """One LOPO run per grid point, in deterministic product order.
 
     Grid keys are any of `SWEEP_KEYS`, each with a non-empty list;
-    missing keys fall back to the base config's value.  Fold encoders
+    missing keys fall back to the base config's value.  Every point's
+    config is built, so checked, before the first fold.  Fold encoders
     are cached per gamma so walk-parameter points do not retrain models.
     """
     for key, values in grid.items():
@@ -300,10 +306,10 @@ def sweep(
     if not grid:
         raise ValueError("empty sweep grid")
     axes = [list(grid.get(key, [getattr(base, key)])) for key in SWEEP_KEYS]
+    configs = [replace(base, **dict(zip(SWEEP_KEYS, v))) for v in itertools.product(*axes)]
     cache: dict = {}
     points = []
-    for values in itertools.product(*axes):
-        config = replace(base, **dict(zip(SWEEP_KEYS, values)))
+    for config in configs:
         report = run_lopo(dataset, taxonomy, mode, method, config, encoder_cache=cache)
         points.append(SweepPoint(config=config, accuracy=report.accuracy))
     return points

@@ -45,23 +45,15 @@ class WalkConfig:
             raise ValueError(f"t must be >= 0, got {self.t}")
 
 
-@dataclass(frozen=True, eq=False)
-class QueryEmbedding:
-    """Start vector over nodes: positive exactly on the chosen neighbors."""
-
-    q: np.ndarray
-    neighbors: tuple[int, ...]
-
-
 def embed_query(
     graph: SvgGraph, distances_to_nodes: np.ndarray, z: int
-) -> QueryEmbedding:
-    """Build the start vector from query-to-node distances.
+) -> np.ndarray:
+    """The start vector q over nodes, from query-to-node distances.
 
     The z smallest distances pick the neighbor set (ties to the lowest
-    node index, z clamped to the node count); their mass is the same
-    reciprocal normalization the transition matrix uses, over
-    epsilon-floored distances.
+    node index, z clamped to the node count), the nodes where q is
+    positive; their mass is the same reciprocal normalization the
+    transition matrix uses, over epsilon-floored distances.
     """
     distances_to_nodes = np.asarray(distances_to_nodes, dtype=np.float64)
     n = distances_to_nodes.shape[0]
@@ -73,20 +65,18 @@ def embed_query(
         )
     if not np.all(np.isfinite(distances_to_nodes)):
         raise ValueError("query distances must be finite")
-    z = min(z, n)
-    order = np.argsort(distances_to_nodes, kind="stable")
-    neighbors = tuple(int(i) for i in order[:z])
-    recip = 1.0 / (distances_to_nodes[list(neighbors)] + DISTANCE_EPSILON)
+    neighbors = np.argsort(distances_to_nodes, kind="stable")[: min(z, n)]
+    recip = 1.0 / (distances_to_nodes[neighbors] + DISTANCE_EPSILON)
     q = np.zeros(n)
-    q[list(neighbors)] = recip / recip.sum()
-    return QueryEmbedding(q=q, neighbors=neighbors)
+    q[neighbors] = recip / recip.sum()
+    return q
 
 
 def markov_walk(A: csr_array, q: np.ndarray, t: int) -> np.ndarray:
     """Distribution over nodes after t steps: q multiplied by A t times.
 
-    q may also be an n x k block of start vectors, one per column.
-    t = 0 returns q itself; the output sums to one whenever q does.
+    q is one start vector or an n x k block of them, one per column.
+    t = 0 returns q itself; each column sums to one whenever q's does.
     """
     q = np.asarray(q, dtype=np.float64)
     if t < 0:
@@ -101,18 +91,18 @@ def markov_walk(A: csr_array, q: np.ndarray, t: int) -> np.ndarray:
 
 
 def class_distribution(
-    node_dist: np.ndarray,
+    node_dists: np.ndarray,
     graph: SvgGraph,
     classes: list[tuple[str, ...]],
-) -> dict[str, float] | list[dict[str, float]]:
-    """Accumulate node mass into semantic classes.
+) -> list[dict[str, float]]:
+    """Accumulate node mass into semantic classes, one column at a time.
 
-    Every class in the partition appears in the output (possibly with
-    zero mass); probabilities sum to one when the node distribution
-    does.  An n x k block of node distributions, one per column, gives
-    a list of k class distributions.
+    `node_dists` is an n x k block of node distributions, one per
+    column; the result is their k class distributions.  Every class in
+    the partition appears in each (possibly with zero mass), and its
+    probabilities sum to one when the column does.
     """
-    node_dist = np.asarray(node_dist, dtype=np.float64)
+    node_dists = np.asarray(node_dists, dtype=np.float64)
     mapping = semantics.class_map(classes)
     names = [component[0] for component in classes]
     position = {name: c for c, name in enumerate(names)}
@@ -130,10 +120,10 @@ def class_distribution(
     node_class = annotation_class[codes]
     # bincount adds each class's nodes in index order, starting from 0.
     out = []
-    for column in node_dist.T if node_dist.ndim == 2 else [node_dist]:
+    for column in node_dists.T:
         sums = np.bincount(node_class, weights=column, minlength=len(names))
         out.append(dict(zip(names, sums.tolist())))
-    return out if node_dist.ndim == 2 else out[0]
+    return out
 
 
 def argmax_class(distribution: dict[str, float]) -> str:
@@ -174,7 +164,7 @@ def classify_batch(
     starts = np.empty((len(graph.nodes), len(query_vectors)))
     for k, query_vector in enumerate(query_vectors):
         dists = query_distances(graph, query_vector)
-        starts[:, k] = embed_query(graph, dists, config.z).q
+        starts[:, k] = embed_query(graph, dists, config.z)
     node_dists = markov_walk(A, starts, config.t)
     return [
         (argmax_class(dist), dist)

@@ -63,8 +63,9 @@ class Taxonomy:
 def parse_taxonomy(path: str | Path) -> Taxonomy:
     """Parse and validate a taxonomy file.
 
-    Rejects duplicate meaning ids, parent references to undefined
-    meanings, and cycles in the parent chains.
+    Rejects malformed and duplicate meaning ids, parent references to
+    undefined meanings, and cycles in the parent chains, with a
+    ValueError naming the file and the line at fault.
     """
     path = Path(path)
     meanings: dict[str, Meaning] = {}
@@ -80,7 +81,10 @@ def parse_taxonomy(path: str | Path) -> Taxonomy:
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
             meaning_id, synset_id, parent = (f.strip() for f in fields)
-            parse_meaning_id(meaning_id)
+            try:
+                parse_meaning_id(meaning_id)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if meaning_id in meanings:
                 raise ValueError(
                     f"{path}: duplicate meaning_id {meaning_id!r} "
@@ -95,8 +99,8 @@ def parse_taxonomy(path: str | Path) -> Taxonomy:
     for meaning in meanings.values():
         if meaning.parent is not None and meaning.parent not in meanings:
             raise ValueError(
-                f"{path}: meaning {meaning.meaning_id!r} references "
-                f"undefined parent {meaning.parent!r}"
+                f"{path}:{lines_seen[meaning.meaning_id]}: meaning "
+                f"{meaning.meaning_id!r} references undefined parent {meaning.parent!r}"
             )
     # Parent links must form a forest: walking up from any meaning
     # terminates at a root instead of revisiting a node.
@@ -106,7 +110,7 @@ def parse_taxonomy(path: str | Path) -> Taxonomy:
         while node is not None:
             if node in visited:
                 raise ValueError(
-                    f"{path}: cycle in parent chain through {meaning_id!r}"
+                    f"{path}:{lines_seen[meaning_id]}: cycle in parent chain through {meaning_id!r}"
                 )
             visited.add(node)
             node = meanings[node].parent

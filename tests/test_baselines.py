@@ -57,28 +57,16 @@ class TestKnn:
     labels = ["A", "A", "B", "B"]
 
     def test_k1_nearest_neighbor(self):
-        assert knn_vote(self.vectors, self.labels, vec([0.2, 0.0]), 1)[0] == "A"
-        assert knn_vote(self.vectors, self.labels, vec([10.4, 0.0]), 1)[0] == "B"
+        assert knn_vote(stack(self.vectors), self.labels, vec([0.2, 0.0]), 1)[0] == "A"
+        assert knn_vote(stack(self.vectors), self.labels, vec([10.4, 0.0]), 1)[0] == "B"
 
     def test_k3_majority(self):
-        assert knn_vote(self.vectors, self.labels, vec([2.0, 0.0]), 3)[0] == "A"
+        assert knn_vote(stack(self.vectors), self.labels, vec([2.0, 0.0]), 3)[0] == "A"
 
     def test_vote_shares(self):
-        winner, shares = knn_vote(self.vectors, self.labels, vec([2.0, 0.0]), 3)
+        winner, shares = knn_vote(stack(self.vectors), self.labels, vec([2.0, 0.0]), 3)
         assert winner == "A"
         assert shares == {"A": pytest.approx(2 / 3), "B": pytest.approx(1 / 3)}
-
-    def test_stacked_training_set_same_as_list(self):
-        rng = np.random.default_rng(7)
-        vectors = [vec(rng.standard_normal(6)) for _ in range(30)]
-        labels = [f"c{i % 4}" for i in range(30)]
-        stacked = stack(vectors)
-        for _ in range(10):
-            query = vec(rng.standard_normal(6))
-            for k in (1, 5, 40):
-                assert knn_vote(stacked, labels, query, k) == knn_vote(
-                    vectors, labels, query, k
-                )
 
     def test_stacked_training_set_checked(self):
         stacked = stack(self.vectors)
@@ -88,7 +76,7 @@ class TestKnn:
             knn_vote(stacked, self.labels, vec([0.0, 0.0]), 0)
 
     def test_k_clamped(self):
-        assert knn_vote(self.vectors, self.labels, vec([0.0, 0.0]), 99)[0] in {
+        assert knn_vote(stack(self.vectors), self.labels, vec([0.0, 0.0]), 99)[0] in {
             "A",
             "B",
         }
@@ -96,13 +84,13 @@ class TestKnn:
     def test_tie_prefers_smaller_mean_distance(self):
         vectors = [vec([0.0, 0.0]), vec([4.0, 0.0]), vec([1.0, 0.0]), vec([5.0, 0.0])]
         labels = ["A", "B", "A", "B"]
-        winner = knn_vote(vectors, labels, vec([0.0, 0.0]), 4)[0]
+        winner = knn_vote(stack(vectors), labels, vec([0.0, 0.0]), 4)[0]
         assert winner == "A"  # 2-2 votes; A's neighbors are closer
 
     def test_tie_falls_back_to_lexicographic(self):
         vectors = [vec([1.0, 0.0]), vec([-1.0, 0.0])]
         labels = ["B", "A"]
-        winner = knn_vote(vectors, labels, vec([0.0, 0.0]), 2)[0]
+        winner = knn_vote(stack(vectors), labels, vec([0.0, 0.0]), 2)[0]
         assert winner == "A"
 
     def test_planted_clusters(self):
@@ -111,11 +99,11 @@ class TestKnn:
         train += [vec(rng.standard_normal(2) * 0.2 + 8.0) for _ in range(10)]
         labels = ["low"] * 10 + ["high"] * 10
         query = vec(rng.standard_normal(2) * 0.2 + 8.0)
-        assert knn_vote(train, labels, query, 5)[0] == "high"
+        assert knn_vote(stack(train), labels, query, 5)[0] == "high"
 
     def test_empty_training(self):
         with pytest.raises(ValueError, match="empty"):
-            knn_vote([], [], vec([0.0]), 1)
+            knn_vote(vec(np.empty((0, 1))), [], vec([0.0]), 1)
 
 
 def separable_data(rng, n_a=30, n_b=30, margin=4.0):
@@ -131,7 +119,7 @@ class TestWeightedLinear:
         rng = np.random.default_rng(1)
         vectors, labels = separable_data(rng)
         weights = class_weights(class_priors(labels), 0.5)
-        model = train_weighted_linear(vectors, labels, weights, epochs=60, seed=0)
+        model = train_weighted_linear(stack(vectors), labels, weights, epochs=60, seed=0)
         predictions = [predict_linear(model, v) for v in vectors]
         assert predictions == labels
 
@@ -140,8 +128,8 @@ class TestWeightedLinear:
         vectors, labels = separable_data(rng)
         zero_lambda = class_weights(class_priors(labels), 0.0)
         manual = {"A": 1.0, "B": 1.0}
-        one = train_weighted_linear(vectors, labels, zero_lambda, epochs=20, seed=3)
-        two = train_weighted_linear(vectors, labels, manual, epochs=20, seed=3)
+        one = train_weighted_linear(stack(vectors), labels, zero_lambda, epochs=20, seed=3)
+        two = train_weighted_linear(stack(vectors), labels, manual, epochs=20, seed=3)
         assert np.array_equal(one.weights, two.weights)
         assert np.array_equal(one.biases, two.biases)
 
@@ -149,7 +137,7 @@ class TestWeightedLinear:
         rng = np.random.default_rng(3)
         vectors, labels = separable_data(rng, n_a=95, n_b=5)
         weights = class_weights(class_priors(labels), 1.0)
-        model = train_weighted_linear(vectors, labels, weights, epochs=80, seed=1)
+        model = train_weighted_linear(stack(vectors), labels, weights, epochs=80, seed=1)
         minority = [
             predict_linear(model, v)
             for v, lab in zip(vectors, labels)
@@ -161,23 +149,23 @@ class TestWeightedLinear:
         rng = np.random.default_rng(4)
         vectors, labels = separable_data(rng)
         weights = {"A": 1.0, "B": 1.0}
-        one = train_weighted_linear(vectors, labels, weights, epochs=10, seed=9)
-        two = train_weighted_linear(vectors, labels, weights, epochs=10, seed=9)
+        one = train_weighted_linear(stack(vectors), labels, weights, epochs=10, seed=9)
+        two = train_weighted_linear(stack(vectors), labels, weights, epochs=10, seed=9)
         assert np.array_equal(one.weights, two.weights)
 
     def test_single_class_short_circuit(self):
         vectors = [vec([0.0, 1.0]), vec([1.0, 0.0])]
-        model = train_weighted_linear(vectors, ["A", "A"], {"A": 1.0})
+        model = train_weighted_linear(stack(vectors), ["A", "A"], {"A": 1.0})
         assert predict_linear(model, vec([5.0, 5.0])) == "A"
 
     def test_missing_weight_rejected(self):
         vectors = [vec([0.0, 1.0]), vec([1.0, 0.0])]
         with pytest.raises(ValueError, match="missing class weight"):
-            train_weighted_linear(vectors, ["A", "B"], {"A": 1.0})
+            train_weighted_linear(stack(vectors), ["A", "B"], {"A": 1.0})
 
     def test_prediction_tie_lexicographic(self):
         model_cls = train_weighted_linear(
-            [vec([1.0, 0.0]), vec([-1.0, 0.0])],
+            stack([vec([1.0, 0.0]), vec([-1.0, 0.0])]),
             ["B", "A"],
             {"A": 1.0, "B": 1.0},
             epochs=0,

@@ -355,6 +355,16 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == "semwalk: error: empty sweep list for 'k'\n"
 
+    def test_empty_grid_list_rejected_before_manifest(self, tmp_path, capsys):
+        code = dispatch(
+            [
+                "sweep", "--manifest", str(tmp_path / "missing.tsv"),
+                "--method", "knn", "--z", "1", "--k", ",",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "semwalk: error: empty sweep list for 'k'\n"
+
     def test_sweep_without_grid_rejected(self, tmp_path, capsys):
         data = gen(tmp_path, "data")
         code = dispatch(
@@ -401,6 +411,17 @@ class TestUsage:
         assert capsys.readouterr().err == (
             "semwalk: error: unknown --method 'oracle'; choose from sembed|knn|linear\n"
         )
+
+    @pytest.mark.parametrize("method", ["sembed", "knn", "linear"])
+    def test_bad_walk_setting_is_usage_error_for_every_method(self, tmp_path, capsys, method):
+        code = dispatch(
+            [
+                "evaluate", "--manifest", str(tmp_path / "missing.tsv"),
+                "--method", method, "--z", "0", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "semwalk: error: z must be >= 1, got 0\n"
 
     def test_mode_validation(self, tmp_path, capsys):
         data = gen(tmp_path, "data")

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from semwalk.dataset import (
@@ -71,6 +71,14 @@ class TestParseManifest:
             tmp_path / "m.tsv", [("a", "p0", "put", "put.n.1", "a.txt")]
         )
         with pytest.raises(ValueError, match="put.n.1"):
+            parse_manifest(path)
+
+    def test_bad_meaning_names_file_and_line(self, tmp_path):
+        path = write_manifest(
+            tmp_path / "m.tsv",
+            [("a", "p0", "put", "put.v.1", "a.txt"), ("b", "p0", "put", "putv1", "b.txt")],
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed meaning id 'putv1'")):
             parse_manifest(path)
 
     def test_idempotent(self, tmp_path):
@@ -163,7 +171,7 @@ class TestDescriptorFiles:
         write_descriptor_file(tmp_path / "seg0.txt", np.ones((2, 2)))
         first = ds.load_descriptors(ds.segments[0])
         assert ds.load_descriptors(ds.segments[0]) is first
-        assert ds.dim == 2
+        assert first.dim == 2
 
     def test_dim_mismatch_across_dataset(self, tmp_path):
         rows = _rows(2)
@@ -263,6 +271,95 @@ class TestDescriptorParseOracle:
         assert outcome == _outcome(loop_read_descriptor_file, path)
         if kind != "truncate":
             assert outcome[0] == "error"
+
+
+# Manifest fields: no tab or line break, no surrounding whitespace, not
+# empty, and (for the first field) no leading "#" that would make a comment.
+_FIELD = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    min_size=1,
+    max_size=6,
+).filter(lambda s: s == s.strip() and not s.startswith("#"))
+_MEANING = st.one_of(
+    st.none(), st.builds("{}.v.{}".format, _FIELD, st.integers(1, 99).map(str))
+)
+_RELATIVE = _FIELD.filter(lambda s: not s.startswith("/"))
+_BAD_MEANINGS = ["putv1", "put.v.0", "put.v.x", ".v.1", "put.n.1"]
+
+
+@st.composite
+def manifests(draw):
+    """Manifest rows with unique segment ids, the text holding them among
+    comment and blank lines, and the line number of each row."""
+    ids = draw(st.lists(_FIELD, min_size=1, max_size=6, unique=True))
+    rows = [
+        [segment_id, draw(_FIELD), draw(_FIELD), draw(_MEANING), draw(_RELATIVE)]
+        for segment_id in ids
+    ]
+    fillers = st.lists(st.sampled_from(["", "  ", "\t", "# note", "  #\tx"]), max_size=2)
+    lines, linenos = [], []
+    for segment_id, person, verb, meaning, descriptor in rows:
+        lines += draw(fillers)
+        lines.append("\t".join([segment_id, person, verb, meaning or "-", descriptor]))
+        linenos.append(len(lines))
+    lines += draw(fillers)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return rows, lines, linenos, newline
+
+
+def _write_lines(path, lines, newline):
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+
+
+class TestManifestProperties:
+    @_ONE_FILE
+    @given(manifest=manifests())
+    def test_round_trip(self, tmp_path, manifest):
+        rows, lines, _linenos, newline = manifest
+        path = tmp_path / "sub" / "m.tsv"
+        path.parent.mkdir(exist_ok=True)
+        _write_lines(path, lines, newline)
+        got = [
+            [s.segment_id, s.person_id, s.verb, s.meaning, s.descriptor_path]
+            for s in parse_manifest(path).segments
+        ]
+        assert got == [[*row[:4], path.parent / row[4]] for row in rows]
+
+    @_ONE_FILE
+    @given(
+        manifest=manifests(),
+        kind=st.sampled_from(["fewer", "more", "duplicate", "meaning"]),
+        data=st.data(),
+    )
+    def test_corruption_names_file_and_line(self, tmp_path, manifest, kind, data):
+        rows, lines, linenos, newline = manifest
+        if kind == "duplicate":
+            assume(len(rows) > 1)
+            r = data.draw(st.integers(1, len(rows) - 1))
+            first = data.draw(st.integers(0, r - 1))
+        else:
+            r = data.draw(st.integers(0, len(rows) - 1))
+        fields = lines[linenos[r] - 1].split("\t")
+        if kind == "fewer":
+            fields.pop(data.draw(st.integers(0, 4)))
+        elif kind == "more":
+            fields.insert(data.draw(st.integers(0, 5)), data.draw(_FIELD))
+        elif kind == "duplicate":
+            fields[0] = rows[first][0]
+        else:
+            fields[3] = data.draw(st.sampled_from(_BAD_MEANINGS))
+        lines = list(lines)
+        lines[linenos[r] - 1] = "\t".join(fields)
+        path = tmp_path / "m.tsv"
+        _write_lines(path, lines, newline)
+        with pytest.raises(ValueError) as info:
+            parse_manifest(path)
+        message = str(info.value)
+        if kind == "duplicate":
+            assert message.startswith(f"{path}: duplicate segment_id")
+            assert message.endswith(f"at lines {linenos[first]} and {linenos[r]}")
+        else:
+            assert message.startswith(f"{path}:{linenos[r]}: ")
 
 
 class TestSplitLopo:

@@ -423,25 +423,27 @@ class TestFisher:
 class TestDistance:
     def test_identity(self):
         v = vec([1.0, 2.0])
-        assert distance(v, v) == 0.0
+        assert distance(v, stack([v]))[0] == 0.0
 
     def test_pythagorean(self):
-        assert distance(vec([0.0, 0.0]), vec([3.0, 4.0])) == 5.0
+        assert distance(vec([0.0, 0.0]), stack([vec([3.0, 4.0])]))[0] == 5.0
 
     def test_symmetric(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             a, b = vec(rng.standard_normal(4)), vec(rng.standard_normal(4))
-            assert distance(a, b) == distance(b, a)
-            assert distance(a, b) >= 0
+            assert distance(a, stack([b]))[0] == distance(b, stack([a]))[0]
+            assert distance(a, stack([b]))[0] >= 0
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError, match="kind"):
-            distance(vec([1.0], kind=BOW), vec([1.0], kind=FV))
+            distance(vec([1.0], kind=BOW), stack([vec([1.0], kind=FV)]))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            distance(vec([1.0]), vec([1.0, 2.0]))
+            distance(vec([1.0]), stack([vec([1.0, 2.0])]))
+        with pytest.raises(ValueError, match="length"):
+            distance(vec([1.0, 2.0]), vec([1.0, 2.0]))  # not a stack
 
     def test_stacked_rows_equal_one_at_a_time(self):
         rng = np.random.default_rng(4)
@@ -450,7 +452,7 @@ class TestDistance:
             rows = [vec(rng.standard_normal(dim)) for _ in range(25)]
             got = distance(a, stack(rows))
             assert got.shape == (25,)
-            assert got.tolist() == [distance(a, b) for b in rows]
+            assert got.tolist() == [distance(a, stack([b]))[0] for b in rows]
             assert got.tolist() == [float(np.linalg.norm(a.values - b.values)) for b in rows]
 
     def test_stacked_mismatch_rejected(self):

@@ -46,6 +46,20 @@ class TestEvalConfig:
         assert EvalConfig().gamma == 10
         assert EvalConfig(encoding="bow", gamma=3).gamma == 3
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("gamma", 0, "gamma must be >= 1, got 0"),
+            ("m", -1, "m must be >= 0, got -1"),
+            ("k", 0, "k must be >= 1, got 0"),
+            ("z", 0, "z must be >= 1, got 0"),
+            ("t", -1, "t must be >= 0, got -1"),
+        ],
+    )
+    def test_unusable_settings_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EvalConfig(**{field: value})
+
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ValueError, match=r"unknown encoding 'vlad'; choose from bow\|fv"):
             EvalConfig(encoding="vlad")
@@ -278,6 +292,20 @@ class TestSweep:
         monkeypatch.setattr(semwalk.evaluation, "run_lopo", no_run)
         with pytest.raises(ValueError, match="empty sweep list for 'z'"):
             sweep(ds, tax, AS, "knn", {"t": [1], "z": []}, SMALL_CONFIG)
+
+    def test_bad_value_rejected_before_any_fold(self, small_dataset, monkeypatch):
+        ds, tax = small_dataset
+        calls = []
+        train_encoder = semwalk.evaluation.train_encoder
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return train_encoder(*args, **kwargs)
+
+        monkeypatch.setattr(semwalk.evaluation, "train_encoder", counting)
+        with pytest.raises(ValueError, match="z must be >= 1, got 0"):
+            sweep(ds, tax, AS, "sembed", {"z": [2, 0]}, SMALL_CONFIG)
+        assert calls == []
 
     def test_unknown_key_rejected(self, small_dataset):
         ds, tax = small_dataset

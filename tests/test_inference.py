@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from semwalk.encoding import distance
+from semwalk.encoding import distance, stack
 from semwalk.graph import SvgGraph, SvgNode, build_svg, normalize_transitions
 from semwalk.inference import (
     WalkConfig,
@@ -51,34 +51,34 @@ class TestEmbedQuery:
 
     def test_reciprocal_normalization(self):
         g = self._graph(3)
-        emb = embed_query(g, np.array([0.1, 0.2, 5.0]), z=2)
-        assert emb.neighbors == (0, 1)
-        assert emb.q[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
-        assert emb.q[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
-        assert emb.q[2] == 0.0
+        q = embed_query(g, np.array([0.1, 0.2, 5.0]), z=2)
+        assert tuple(np.flatnonzero(q)) == (0, 1)
+        assert q[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert q[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert q[2] == 0.0
 
     def test_one_hot_for_z_one(self):
         g = self._graph(3)
-        emb = embed_query(g, np.array([4.0, 1.0, 2.0]), z=1)
-        assert emb.neighbors == (1,)
-        assert emb.q[1] == 1.0
+        q = embed_query(g, np.array([4.0, 1.0, 2.0]), z=1)
+        assert tuple(np.flatnonzero(q)) == (1,)
+        assert q[1] == 1.0
 
     def test_z_clamped_to_n(self):
         g = self._graph(3)
-        emb = embed_query(g, np.array([1.0, 2.0, 3.0]), z=9)
-        assert emb.neighbors == (0, 1, 2)
-        assert emb.q.sum() == pytest.approx(1.0, abs=1e-9)
+        q = embed_query(g, np.array([1.0, 2.0, 3.0]), z=9)
+        assert tuple(np.flatnonzero(q)) == (0, 1, 2)
+        assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_tie_prefers_lowest_index(self):
         g = self._graph(3)
-        emb = embed_query(g, np.array([2.0, 2.0, 2.0]), z=1)
-        assert emb.neighbors == (0,)
+        q = embed_query(g, np.array([2.0, 2.0, 2.0]), z=1)
+        assert tuple(np.flatnonzero(q)) == (0,)
 
     def test_zero_distance_handled(self):
         g = self._graph(2)
-        emb = embed_query(g, np.array([0.0, 1.0]), z=2)
-        assert emb.q.sum() == pytest.approx(1.0, abs=1e-9)
-        assert emb.q[0] > 0.999
+        q = embed_query(g, np.array([0.0, 1.0]), z=2)
+        assert q.sum() == pytest.approx(1.0, abs=1e-9)
+        assert q[0] > 0.999
 
     def test_scale_invariance(self):
         g = self._graph(4)
@@ -86,8 +86,8 @@ class TestEmbedQuery:
         d = rng.uniform(0.05, 2.0, size=4)
         base = embed_query(g, d, z=3)
         scaled = embed_query(g, 7.5 * d, z=3)
-        assert scaled.neighbors == base.neighbors
-        assert np.allclose(scaled.q, base.q, atol=1e-9)
+        assert tuple(np.flatnonzero(scaled)) == tuple(np.flatnonzero(base))
+        assert np.allclose(scaled, base, atol=1e-9)
 
     def test_empty_graph_rejected(self):
         g = self._graph(2)
@@ -163,7 +163,7 @@ class TestClassDistribution:
     def test_direct_mapping(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "b"])
         classes = semantic_classes(None, {"a", "b"}, VERB)
-        dist = class_distribution(np.array([0.6, 0.4]), g, classes)
+        dist = class_distribution(np.array([0.6, 0.4])[:, None], g, classes)[0]
         assert dist == {"a": pytest.approx(0.6), "b": pytest.approx(0.4)}
 
     def test_accumulates_per_class(self):
@@ -171,21 +171,21 @@ class TestClassDistribution:
             [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ["a", "a", "b"]
         )
         classes = semantic_classes(None, {"a", "b"}, VERB)
-        dist = class_distribution(np.array([0.5, 0.3, 0.2]), g, classes)
+        dist = class_distribution(np.array([0.5, 0.3, 0.2])[:, None], g, classes)[0]
         assert dist["a"] == pytest.approx(0.8)
         assert dist["b"] == pytest.approx(0.2)
 
     def test_single_class_gets_everything(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "a"])
         classes = semantic_classes(None, {"a"}, VERB)
-        dist = class_distribution(np.array([0.5, 0.5]), g, classes)
+        dist = class_distribution(np.array([0.5, 0.5])[:, None], g, classes)[0]
         assert dist == {"a": pytest.approx(1.0)}
 
     def test_missing_annotation_rejected(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "zz"])
         classes = semantic_classes(None, {"a"}, VERB)
         with pytest.raises(ValueError, match="zz"):
-            class_distribution(np.array([0.5, 0.5]), g, classes)
+            class_distribution(np.array([0.5, 0.5])[:, None], g, classes)
 
     @pytest.mark.parametrize(
         "labels,first",
@@ -195,7 +195,7 @@ class TestClassDistribution:
         g = make_graph([[float(i), 0.0] for i in range(4)], labels)
         classes = semantic_classes(None, {"a", "b"}, VERB)
         with pytest.raises(ValueError, match=rf"^node annotation '{first}' missing"):
-            class_distribution(np.full(4, 0.25), g, classes)
+            class_distribution(np.full(4, 0.25)[:, None], g, classes)
 
     def test_annotation_codes_in_first_appearance_order(self):
         g = make_graph([[float(i), 0.0] for i in range(5)], ["c", "a", "c", "b", "a"])
@@ -211,8 +211,8 @@ class TestClassDistribution:
         block = np.array([[0.1, 1.0], [0.3, 0.0], [0.6, 0.0]])
         dists = class_distribution(block, g, classes)
         assert dists == [
-            class_distribution(block[:, 0], g, classes),
-            class_distribution(block[:, 1], g, classes),
+            class_distribution(block[:, :1], g, classes)[0],
+            class_distribution(block[:, 1:], g, classes)[0],
         ]
         assert list(dists[1]) == ["a", "b", "c"] and dists[1]["c"] == 0.0
 
@@ -245,8 +245,8 @@ class TestClassify:
         config = WalkConfig(z=2, t=2)
         label, dist = classify(g, A, None, VERB, query, config)
 
-        emb = embed_query(g, query_distances(g, query), 2)
-        node_mass = enumerate_walk(dense, emb.q, 2)
+        q = embed_query(g, query_distances(g, query), 2)
+        node_mass = enumerate_walk(dense, q, 2)
         expected = {"a": 0.0, "b": 0.0}
         for i, lab in enumerate(labels):
             expected[lab] += node_mass[i]
@@ -300,12 +300,12 @@ class TestClassify:
         label, _ = classify(g, A, None, VERB, query, WalkConfig(z=3, t=2))
         scaled_query = vec(query.values * 1.0)  # same query, scaled metric below
         d = query_distances(g, scaled_query)
-        emb_base = embed_query(g, d, 3)
-        emb_scaled = embed_query(g, d * 42.0, 3)
-        assert np.allclose(emb_base.q, emb_scaled.q, atol=1e-9)
-        walked = markov_walk(A, emb_scaled.q, 2)
+        q_base = embed_query(g, d, 3)
+        q_scaled = embed_query(g, d * 42.0, 3)
+        assert np.allclose(q_base, q_scaled, atol=1e-9)
+        walked = markov_walk(A, q_scaled, 2)
         classes = semantic_classes(None, set(labels), VERB)
-        dist = class_distribution(walked, g, classes)
+        dist = class_distribution(walked[:, None], g, classes)[0]
         assert argmax_class(dist) == label
 
 
@@ -327,7 +327,7 @@ class TestBatch:
             ]
             g = edgeless_graph(nodes)
             query = vec(rng.standard_normal(dim))
-            expected = [distance(query, node.vector) for node in nodes]
+            expected = [distance(query, stack([node.vector]))[0] for node in nodes]
             assert query_distances(g, query).tolist() == expected
 
     def test_query_distances_need_vectors(self):
@@ -359,9 +359,9 @@ class TestBatch:
             classes = semantic_classes(None, {node.annotation for node in g.nodes}, VERB)
             expected = []
             for q in queries:
-                d = np.array([distance(q, node.vector) for node in g.nodes])
-                walked = markov_walk(A, embed_query(g, d, z).q, t)
-                dist = class_distribution(walked, g, classes)
+                d = np.array([distance(q, stack([node.vector]))[0] for node in g.nodes])
+                walked = markov_walk(A, embed_query(g, d, z), t)
+                dist = class_distribution(walked[:, None], g, classes)[0]
                 expected.append((argmax_class(dist), dist))
             got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
             assert got == expected

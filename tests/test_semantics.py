@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,29 @@ class TestParseTaxonomy:
         path = tmp_path / "t.tsv"
         path.write_text("a.v.1\ts1\t-\na.v.1\ts2\t-\n", encoding="utf-8")
         with pytest.raises(ValueError, match="duplicate"):
+            parse_taxonomy(path)
+
+    def test_malformed_meaning_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a.v.1\ts1\t-\nbad.v.0\ts2\t-\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed meaning id 'bad.v.0'")):
+            parse_taxonomy(path)
+
+    def test_dangling_parent_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("# c\na.v.1\ts1\t-\nb.v.1\ts2\tmissing.v.1\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"{path}:3: meaning 'b.v.1' references undefined parent 'missing.v.1'"),
+        ):
+            parse_taxonomy(path)
+
+    def test_cycle_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text(
+            "a.v.1\ts1\t-\nb.v.1\ts2\tc.v.1\nc.v.1\ts3\tb.v.1\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: cycle in parent chain through 'b.v.1'")):
             parse_taxonomy(path)
 
     def test_comments_allowed(self, tmp_path):
