@@ -22,7 +22,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import encoding, evaluation, graph, inference, semantics
-from .dataset import annotation_for, atomic_write_text, parse_manifest, sample_segments
+from .dataset import Dataset, annotation_for, atomic_write_text, parse_manifest, sample_segments
 
 _DEFAULTS: dict[str, object] = {"mode": semantics.VERB, "method": evaluation.SEMBED}
 
@@ -134,6 +134,15 @@ def _taxonomy_for(opts: _Options, mode: str) -> semantics.Taxonomy | None:
     return semantics.parse_taxonomy(path)
 
 
+def _dataset(opts: _Options, seed: int) -> Dataset:
+    """The manifest's segments, cut to a seeded ``--sample`` when one is set."""
+    sample = opts.get("sample")
+    if sample is not None and sample < 1:
+        raise CliError(f"sample size must be >= 1, got {sample}")
+    ds = parse_manifest(opts.get("manifest", required=True))
+    return ds if sample is None else sample_segments(ds, sample, seed)
+
+
 def _check_mode(mode: str) -> str:
     if mode not in semantics.MODES:
         raise CliError(f"unknown --mode {mode!r}; choose from {'|'.join(semantics.MODES)}")
@@ -230,10 +239,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     method = _check_method(opts.get("method"))
     config = opts.config(evaluation.EvalConfig)
     taxonomy = _taxonomy_for(opts, mode)
-    ds = parse_manifest(opts.get("manifest", required=True))
-    sample = opts.get("sample")
-    if sample is not None:
-        ds = sample_segments(ds, sample, config.seed)
+    ds = _dataset(opts, config.seed)
     report = evaluation.run_lopo(ds, taxonomy, mode, method, config)
     out = opts.get("out", required=True)
     evaluation.write_report(report, out)
@@ -261,17 +267,15 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             raw = opts.file[key][1]
         if raw is not None:
             grid[key] = _int_list(raw)
-            if not grid[key]:
-                raise CliError(f"empty sweep list for {key!r}")
     if not grid:
         raise CliError("sweep needs at least one of --z/--t/--m/--gamma/--k")
+    try:
+        configs = evaluation.sweep_configs(grid, base)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     taxonomy = _taxonomy_for(opts, mode)
-    ds = parse_manifest(opts.get("manifest", required=True))
-    sample = opts.get("sample")
-    if sample is not None:
-        ds = sample_segments(ds, sample, base.seed)
-    points = evaluation.sweep(ds, taxonomy, mode, method, grid, base)
-    text = evaluation.format_sweep(points)
+    ds = _dataset(opts, base.seed)
+    text = evaluation.format_sweep(evaluation.sweep(ds, taxonomy, mode, method, configs))
     out = opts.get("out")
     if out is None:
         sys.stdout.write(text)

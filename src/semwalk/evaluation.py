@@ -9,11 +9,14 @@ synonym of the truth counts as correct under "as", for example.  The
 class partition is computed once over every annotation in the dataset
 (train and test alike) so the true class is always well defined.
 
-All randomness derives from per-fold seed sequences keyed by the
-person's rank among the dataset's sorted persons.
-
-The CLI's staged commands and each fold share the stage functions
-`train_encoder`, `encode_segments` and `graph_nodes`.
+One fold loop, `sweep`, evaluates a list of configs; `run_lopo` is its
+one-config case.  Within a fold, configs with the same encoding, gamma,
+fraction and seed share one encoder and one encoding of every segment,
+and sembed configs that also share m share one graph; z, t, k, lambda,
+epochs and step apply per config.  All randomness derives from
+per-fold seed sequences keyed by the person's rank among the dataset's
+sorted persons.  The CLI's staged commands and each fold share the
+stage functions `train_encoder`, `encode_segments` and `graph_nodes`.
 """
 from __future__ import annotations
 
@@ -49,9 +52,10 @@ class EvalConfig:
 
     `gamma` left as None takes the encoding's default codebook or
     mixture size, set in `__post_init__`, which also rejects a size,
-    edge budget, neighbor count or walk setting no run can use.  The
-    CLI builds its config from these fields, so both share every
-    default, and a report's header lists them in this order.
+    edge budget, neighbor count, walk setting, class-weight exponent,
+    sample fraction or SGD setting no run can use.  The CLI builds its
+    config from these fields, so both share every default, and a
+    report's header lists them in this order.
     """
 
     encoding: str = encoding.FV
@@ -73,9 +77,15 @@ class EvalConfig:
             )
         if self.gamma is None:
             object.__setattr__(self, "gamma", 256 if self.encoding == encoding.BOW else 10)
-        for name, low in (("gamma", 1), ("m", 0), ("k", 1)):
+        for name, low in (("gamma", 1), ("m", 0), ("k", 1), ("epochs", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.step > 0.0:
+            raise ValueError(f"step must be > 0, got {self.step}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
+        if not 0.0 < self.fraction <= 1.0:
+            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         inference.WalkConfig(z=self.z, t=self.t)
 
 
@@ -107,12 +117,6 @@ class EvalReport:
     confusion: np.ndarray
     config: dict[str, object]
     folds: list[FoldInfo]
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    config: EvalConfig
-    accuracy: float
 
 
 def _fold_seed(base_seed: int, fold_index: int) -> int:
@@ -155,6 +159,7 @@ def _classify_fold(
     train: Dataset,
     test: Dataset,
     encoded: dict[str, encoding.EncodedVector],
+    walk_graph: tuple[graph.SvgGraph, graph.csr_array] | None,
     taxonomy: semantics.Taxonomy | None,
     mode: str,
     method: str,
@@ -168,11 +173,9 @@ def _classify_fold(
 
     queries = [encoded[seg.segment_id] for seg in test.segments]
     if method == SEMBED:
-        svg = graph.build_svg(graph_nodes(train, encoded, mode), taxonomy, mode, config.m)
-        transitions = graph.normalize_transitions(svg)
         walk = inference.WalkConfig(z=config.z, t=config.t)
         results = inference.classify_batch(
-            svg, transitions, taxonomy, mode, queries, walk, classes=classes
+            *walk_graph, taxonomy, mode, queries, walk, classes=classes
         )
     elif method == KNN:
         stacked = encoding.stack(train_vectors)
@@ -180,7 +183,7 @@ def _classify_fold(
             baselines.knn_vote(stacked, train_classes, query, config.k)
             for query in queries
         ]
-    elif method == LINEAR:
+    else:
         priors = baselines.class_priors(train_classes)
         weights = baselines.class_weights(priors, config.lam)
         model = baselines.train_weighted_linear(
@@ -193,8 +196,6 @@ def _classify_fold(
         )
         labels = [baselines.predict_linear(model, query) for query in queries]
         results = [(label, {label: 1.0}) for label in labels]
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return [
         QueryRecord(
             segment_id=seg.segment_id,
@@ -208,19 +209,19 @@ def _classify_fold(
     ]
 
 
-def run_lopo(
+def sweep(
     dataset: Dataset,
     taxonomy: semantics.Taxonomy | None,
     mode: str,
     method: str,
-    config: EvalConfig,
-    encoder_cache: dict | None = None,
-) -> EvalReport:
-    """Leave-one-person-out evaluation over the whole dataset.
+    configs: list[EvalConfig],
+) -> list[EvalReport]:
+    """Leave-one-person-out evaluation of each config, from one pass over
+    the folds; one report per config, in order.
 
-    `encoder_cache` lets sweep runs reuse per-fold encoders across grid
-    points that share gamma; pass a dict and keep it alive between
-    calls.
+    Within a fold, configs with the same encoding, gamma, fraction and
+    seed share one encoder and one encoding of every segment, and sembed
+    configs that also share m share one graph and transition matrix.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -233,24 +234,30 @@ def run_lopo(
     )
     cmap = semantics.class_map(partition)
 
-    records: list[QueryRecord] = []
+    records: list[list[QueryRecord]] = [[] for _ in configs]
     folds: list[FoldInfo] = []
     for rank, person in enumerate(persons):
-        seed = _fold_seed(config.seed, rank)
         train, test = split_lopo(dataset, person)
         train_persons = set(train.persons())
         if person in train_persons:
             raise RuntimeError(f"fold hygiene violated for person {person!r}")
-        cache_key = (person, config.encoding, config.gamma, config.fraction, config.seed)
-        encoded = None if encoder_cache is None else encoder_cache.get(cache_key)
-        if encoded is None:
-            # Only training descriptors fit the encoder; every segment is encoded.
-            encoded = encode_segments(dataset, train_encoder(train, config, seed))
-            if encoder_cache is not None:
-                encoder_cache[cache_key] = encoded
-        records += _classify_fold(
-            train, test, encoded, taxonomy, mode, method, config, partition, cmap, seed
-        )
+        encodings: dict[tuple, dict[str, encoding.EncodedVector]] = {}
+        graphs: dict[tuple, tuple[graph.SvgGraph, graph.csr_array]] = {}
+        for config, config_records in zip(configs, records):
+            seed = _fold_seed(config.seed, rank)
+            key = (config.encoding, config.gamma, config.fraction, config.seed)
+            if key not in encodings:
+                # Only training descriptors fit the encoder; every segment is encoded.
+                encodings[key] = encode_segments(dataset, train_encoder(train, config, seed))
+            encoded = encodings[key]
+            if method == SEMBED and (key, config.m) not in graphs:
+                svg = graph.build_svg(graph_nodes(train, encoded, mode), taxonomy, mode, config.m)
+                graphs[key, config.m] = (svg, graph.normalize_transitions(svg))
+                del svg  # held by `graphs` alone, so the next fold frees it
+            config_records += _classify_fold(
+                train, test, encoded, graphs.get((key, config.m)), taxonomy, mode, method,
+                config, partition, cmap, seed,
+            )
         train_ids = tuple(seg.segment_id for seg in train.segments)
         folds.append(
             FoldInfo(
@@ -262,41 +269,48 @@ def run_lopo(
         )
 
     position = {seg.segment_id: i for i, seg in enumerate(dataset.segments)}
-    records.sort(key=lambda rec: position[rec.segment_id])
     class_names = tuple(component[0] for component in partition)
     index = {name: i for i, name in enumerate(class_names)}
-    confusion = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
-    correct = 0
-    for rec in records:
-        confusion[index[rec.true_class], index[rec.predicted_class]] += 1
-        correct += rec.true_class == rec.predicted_class
-    header: dict[str, object] = {"method": method, "mode": mode} | {
-        OPTION_NAMES.get(f.name, f.name): getattr(config, f.name) for f in fields(config)
-    }
-    return EvalReport(
-        records=records,
-        accuracy=correct / len(records) if records else 0.0,
-        classes=class_names,
-        confusion=confusion,
-        config=header,
-        folds=folds,
-    )
+    reports = []
+    for config, config_records in zip(configs, records):
+        config_records.sort(key=lambda rec: position[rec.segment_id])
+        confusion = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
+        for rec in config_records:
+            confusion[index[rec.true_class], index[rec.predicted_class]] += 1
+        correct = sum(rec.true_class == rec.predicted_class for rec in config_records)
+        header: dict[str, object] = {"method": method, "mode": mode} | {
+            OPTION_NAMES.get(f.name, f.name): getattr(config, f.name) for f in fields(config)
+        }
+        reports.append(
+            EvalReport(
+                records=config_records,
+                accuracy=correct / len(config_records) if config_records else 0.0,
+                classes=class_names,
+                confusion=confusion,
+                config=header,
+                folds=list(folds),
+            )
+        )
+    return reports
 
 
-def sweep(
+def run_lopo(
     dataset: Dataset,
     taxonomy: semantics.Taxonomy | None,
     mode: str,
     method: str,
-    grid: dict[str, list],
-    base: EvalConfig,
-) -> list[SweepPoint]:
-    """One LOPO run per grid point, in deterministic product order.
+    config: EvalConfig,
+) -> EvalReport:
+    """Leave-one-person-out evaluation of one config: `sweep` of `[config]`."""
+    return sweep(dataset, taxonomy, mode, method, [config])[0]
+
+
+def sweep_configs(grid: dict[str, list], base: EvalConfig) -> list[EvalConfig]:
+    """One config per point of the grid's product, in deterministic order.
 
     Grid keys are any of `SWEEP_KEYS`, each with a non-empty list;
-    missing keys fall back to the base config's value.  Every point's
-    config is built, so checked, before the first fold.  Fold encoders
-    are cached per gamma so walk-parameter points do not retrain models.
+    missing keys keep the base config's value.  Building each config
+    checks its values, so a bad grid value fails before any fold runs.
     """
     for key, values in grid.items():
         if key not in SWEEP_KEYS:
@@ -306,21 +320,15 @@ def sweep(
     if not grid:
         raise ValueError("empty sweep grid")
     axes = [list(grid.get(key, [getattr(base, key)])) for key in SWEEP_KEYS]
-    configs = [replace(base, **dict(zip(SWEEP_KEYS, v))) for v in itertools.product(*axes)]
-    cache: dict = {}
-    points = []
-    for config in configs:
-        report = run_lopo(dataset, taxonomy, mode, method, config, encoder_cache=cache)
-        points.append(SweepPoint(config=config, accuracy=report.accuracy))
-    return points
+    return [replace(base, **dict(zip(SWEEP_KEYS, v))) for v in itertools.product(*axes)]
 
 
-def format_sweep(points: list[SweepPoint]) -> str:
+def format_sweep(reports: list[EvalReport]) -> str:
     """Tab-separated sweep table: the `SWEEP_KEYS` columns, then accuracy."""
     lines = ["\t".join((*SWEEP_KEYS, "accuracy"))]
-    for p in points:
-        cells = [str(getattr(p.config, key)) for key in SWEEP_KEYS]
-        lines.append("\t".join((*cells, repr(p.accuracy))))
+    for report in reports:
+        cells = [str(report.config[key]) for key in SWEEP_KEYS]
+        lines.append("\t".join((*cells, repr(report.accuracy))))
     return "\n".join(lines) + "\n"
 
 

@@ -160,6 +160,8 @@ def _non_default(field):
         return "bow"
     if field.default is None:  # gamma
         return 7
+    if isinstance(field.default, float):  # lambda and fraction stay within [0, 1]
+        return field.default / 2
     return field.default + 1
 
 
@@ -365,6 +367,16 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err == "semwalk: error: empty sweep list for 'k'\n"
 
+    def test_bad_grid_value_rejected_before_manifest(self, tmp_path, capsys):
+        code = dispatch(
+            [
+                "sweep", "--manifest", str(tmp_path / "missing.tsv"),
+                "--method", "knn", "--k", "2,0",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "semwalk: error: k must be >= 1, got 0\n"
+
     def test_sweep_without_grid_rejected(self, tmp_path, capsys):
         data = gen(tmp_path, "data")
         code = dispatch(
@@ -422,6 +434,29 @@ class TestUsage:
         )
         assert code == 2
         assert capsys.readouterr().err == "semwalk: error: z must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--lambda", "2", "lambda must be in [0, 1], got 2.0"),
+            ("--fraction", "0", "fraction must be in (0, 1], got 0.0"),
+            ("--epochs", "-1", "epochs must be >= 0, got -1"),
+            ("--step", "0", "step must be > 0, got 0.0"),
+            ("--sample", "0", "sample size must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_run_setting_rejected_before_manifest(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        code = dispatch(
+            [
+                command, "--manifest", str(tmp_path / "missing.tsv"), "--method", "linear",
+                "--z", "1", flag, value, "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"semwalk: error: {message}\n"
 
     def test_mode_validation(self, tmp_path, capsys):
         data = gen(tmp_path, "data")

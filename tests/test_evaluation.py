@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import semwalk.evaluation
+import semwalk.graph
 from semwalk.dataset import parse_manifest, read_descriptor_file
 from semwalk.evaluation import (
     EvalConfig,
@@ -11,6 +12,7 @@ from semwalk.evaluation import (
     gen_synthetic,
     run_lopo,
     sweep,
+    sweep_configs,
     write_report,
 )
 from semwalk.semantics import AH, AM, AS, parse_taxonomy, semantic_classes
@@ -54,6 +56,10 @@ class TestEvalConfig:
             ("k", 0, "k must be >= 1, got 0"),
             ("z", 0, "z must be >= 1, got 0"),
             ("t", -1, "t must be >= 0, got -1"),
+            ("lam", 2, r"lambda must be in \[0, 1\], got 2"),
+            ("fraction", 0, r"fraction must be in \(0, 1\], got 0"),
+            ("epochs", -1, "epochs must be >= 0, got -1"),
+            ("step", 0, "step must be > 0, got 0"),
         ],
     )
     def test_unusable_settings_rejected(self, field, value, message):
@@ -259,21 +265,23 @@ class TestMetrics:
 class TestSweep:
     def test_grid_cartesian_product(self, small_dataset):
         ds, tax = small_dataset
-        points = sweep(
-            ds, tax, AS, "sembed", {"z": [1, 2], "t": [0, 1]}, SMALL_CONFIG
+        reports = sweep(
+            ds, tax, AS, "sembed", sweep_configs({"z": [1, 2], "t": [0, 1]}, SMALL_CONFIG)
         )
-        assert len(points) == 4
-        assert [(p.config.z, p.config.t) for p in points] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        assert len(reports) == 4
+        assert [(r.config["z"], r.config["t"]) for r in reports] == [
+            (1, 0), (1, 1), (2, 0), (2, 1)
+        ]
 
     def test_repeated_point_identical(self, small_dataset):
         ds, tax = small_dataset
-        points = sweep(ds, tax, AS, "sembed", {"z": [2, 2]}, SMALL_CONFIG)
-        assert points[0].accuracy == points[1].accuracy
+        reports = sweep(ds, tax, AS, "sembed", sweep_configs({"z": [2, 2]}, SMALL_CONFIG))
+        assert reports[0].accuracy == reports[1].accuracy
 
     def test_format_sweep_table(self, small_dataset):
         ds, tax = small_dataset
-        points = sweep(ds, tax, AS, "knn", {"k": [1, 3]}, SMALL_CONFIG)
-        text = format_sweep(points)
+        reports = sweep(ds, tax, AS, "knn", sweep_configs({"k": [1, 3]}, SMALL_CONFIG))
+        text = format_sweep(reports)
         lines = text.strip().split("\n")
         assert lines[0] == "z\tt\tm\tgamma\tk\taccuracy"
         assert len(lines) == 3
@@ -281,7 +289,7 @@ class TestSweep:
     def test_empty_grid_rejected(self, small_dataset):
         ds, tax = small_dataset
         with pytest.raises(ValueError, match="grid"):
-            sweep(ds, tax, AS, "knn", {}, SMALL_CONFIG)
+            sweep(ds, tax, AS, "knn", sweep_configs({}, SMALL_CONFIG))
 
     def test_empty_list_rejected_before_any_fold(self, small_dataset, monkeypatch):
         ds, tax = small_dataset
@@ -291,7 +299,7 @@ class TestSweep:
 
         monkeypatch.setattr(semwalk.evaluation, "run_lopo", no_run)
         with pytest.raises(ValueError, match="empty sweep list for 'z'"):
-            sweep(ds, tax, AS, "knn", {"t": [1], "z": []}, SMALL_CONFIG)
+            sweep(ds, tax, AS, "knn", sweep_configs({"t": [1], "z": []}, SMALL_CONFIG))
 
     def test_bad_value_rejected_before_any_fold(self, small_dataset, monkeypatch):
         ds, tax = small_dataset
@@ -304,13 +312,52 @@ class TestSweep:
 
         monkeypatch.setattr(semwalk.evaluation, "train_encoder", counting)
         with pytest.raises(ValueError, match="z must be >= 1, got 0"):
-            sweep(ds, tax, AS, "sembed", {"z": [2, 0]}, SMALL_CONFIG)
+            sweep(ds, tax, AS, "sembed", sweep_configs({"z": [2, 0]}, SMALL_CONFIG))
         assert calls == []
 
     def test_unknown_key_rejected(self, small_dataset):
         ds, tax = small_dataset
         with pytest.raises(ValueError, match="sweep key"):
-            sweep(ds, tax, AS, "knn", {"q": [1]}, SMALL_CONFIG)
+            sweep(ds, tax, AS, "knn", sweep_configs({"q": [1]}, SMALL_CONFIG))
+
+    @pytest.mark.parametrize(
+        "method,grid",
+        [
+            ("sembed", {"gamma": [4, 6], "m": [20, 50], "z": [1, 3], "t": [0, 2]}),
+            ("knn", {"gamma": [4, 6], "k": [1, 3]}),
+            ("linear", {"t": [0, 2]}),
+        ],
+    )
+    def test_each_report_equals_its_own_run_lopo(self, small_dataset, method, grid):
+        ds, tax = small_dataset
+        configs = sweep_configs(grid, SMALL_CONFIG)
+        reports = sweep(ds, tax, AS, method, configs)
+        assert len(reports) == len(configs)
+        for config, report in zip(configs, reports):
+            alone = run_lopo(ds, tax, AS, method, config)
+            assert format_report(report) == format_report(alone)
+            assert report.folds == alone.folds
+
+    def test_fold_shares_encoders_and_graphs(self, small_dataset, monkeypatch):
+        ds, tax = small_dataset
+        calls = {"train_encoder": 0, "build_svg": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(semwalk.evaluation, "train_encoder")
+        counting(semwalk.graph, "build_svg")
+        grid = {"gamma": [4, 6], "m": [20, 50], "z": [1, 3]}
+        reports = sweep(ds, tax, AS, "sembed", sweep_configs(grid, SMALL_CONFIG))
+        assert len(reports) == 8
+        # 3 folds: one encoder per (fold, gamma), one graph per (fold, gamma, m).
+        assert calls == {"train_encoder": 6, "build_svg": 12}
 
 
 class TestReportFile:
