@@ -247,11 +247,14 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str, where: str | None = None) -> list[int]:
+    """The integers of a comma-separated list; `where` (``path:line: key``)
+    prefixes the error for a list read from a config file."""
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"expected a comma-separated integer list, got {text!r}") from None
+        prefix = f"{where}: " if where else ""
+        raise CliError(f"{prefix}expected a comma-separated integer list, got {text!r}") from None
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
@@ -262,11 +265,11 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     base = opts.config(evaluation.EvalConfig, exclude=evaluation.SWEEP_KEYS)
     grid: dict[str, list] = {}
     for key in evaluation.SWEEP_KEYS:
-        raw = opts.ns.get(key)
+        raw, where = opts.ns.get(key), None
         if raw is None and key in opts.file:
-            raw = opts.file[key][1]
+            where, raw = opts.file[key]
         if raw is not None:
-            grid[key] = _int_list(raw)
+            grid[key] = _int_list(raw, where)
     if not grid:
         raise CliError("sweep needs at least one of --z/--t/--m/--gamma/--k")
     try:

@@ -13,13 +13,14 @@ bit-identical models and encodings on one platform.  Trained models are
 immutable; encoding different videos in parallel is safe.
 
 Memory: training and Fisher encoding share one E-step (`_e_step`),
-whose Gaussian log-densities are computed a block of points at a time
-in a fixed 128 KiB buffer, so the largest EM temporaries are points x
-components; its log-normalizer is scipy's logsumexp algorithm in plain
-numpy (`_logsumexp_rows`).  k-means builds one points x centers array
-per fit and reuses it, and each center update sorts the pool by label
-once.  `fisher_gradients` still builds a rows x components x dim array
-per video (50 rows per video in the benchmark shapes).
+whose Gaussian log-densities come from the expanded Mahalanobis form,
+two points x dim @ dim x components products on centred data, so the
+largest EM temporaries are points x dim or points x components; its
+log-normalizer is scipy's logsumexp algorithm in plain numpy
+(`_logsumexp_rows`).  Fisher gradients come from the responsibilities'
+sufficient statistics (S0, S1, S2), components x dim each.  k-means
+builds one points x centers array per fit and reuses it, and each
+center update sorts the pool by label once.
 """
 from __future__ import annotations
 
@@ -38,11 +39,6 @@ FV = "fv"
 # Reciprocal-weight normalization downstream cannot take 1/0, so zero
 # distances between duplicate vectors are floored by this epsilon.
 DISTANCE_EPSILON = 1e-12
-
-# Size, in doubles, of the buffer `_log_gaussians` reuses for each block
-# of rows: 128 KiB, which stays in cache where a whole points x
-# components x dim temporary would stream through memory.
-_BLOCK_DOUBLES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,30 +251,22 @@ def _log_gaussians(
 ) -> np.ndarray:
     """log N(x | mean_k, diag var_k) for every point/component pair.
 
-    Works through the points a block of rows at a time in one reused
-    buffer of at most `_BLOCK_DOUBLES` values (one row when a single
-    row's components x dim exceeds it), so no points x components x dim
-    array is built.  Each block takes the difference, squares it,
-    divides by the variances and sums over dim, the same element-wise
-    steps and per-(point, component) reduction as one broadcast over
-    all points, hence the same bits.
+    The Mahalanobis term is expanded as x^2.P - 2x.(mean P) + mean^2.P
+    with P = 1/var, two matrix products with no points x components x
+    dim array.  Points and means are first shifted by the points' mean,
+    which leaves the term unchanged and keeps the expansion's
+    cancellation bounded when the data sit far from the origin.
     """
-    n = points.shape[0]
-    k, dim = means.shape
+    centre = points.mean(axis=0)
+    x = points - centre
+    mu = means - centre
+    precision = 1.0 / variances
     log_det = np.sum(np.log(2.0 * np.pi * variances), axis=1)
-    rows = max(1, _BLOCK_DOUBLES // (k * dim))
-    buf = np.empty((min(rows, n), k, dim))
-    mahalanobis = np.empty((n, k))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = buf[: stop - start]
-        np.subtract(points[start:stop, None, :], means, out=block)
-        np.multiply(block, block, out=block)
-        np.divide(block, variances, out=block)
-        np.sum(block, axis=2, out=mahalanobis[start:stop])
-    mahalanobis += log_det
-    mahalanobis *= -0.5
-    return mahalanobis
+    out = (x * x) @ precision.T
+    out -= x @ (2.0 * mu * precision).T
+    out += np.sum(mu * mu * precision, axis=1) + log_det
+    out *= -0.5
+    return out
 
 
 def _e_step(
@@ -383,8 +371,12 @@ def fisher_gradients(
     """Raw (pre-normalization) Fisher gradient blocks for one video.
 
     Returns the mean-gradient and variance-gradient matrices, each
-    components x dim.  The mean block vanishes when every descriptor
-    sits at its component's mean.
+    components x dim, built from the responsibilities' sufficient
+    statistics S0 = sum g, S1 = sum g x and S2 = sum g x^2 (Sanchez et
+    al., IJCV 2013), with descriptors and means shifted by the
+    descriptors' mean to bound the cancellation in S2 - 2 mean S1 +
+    S0 mean^2.  The mean block vanishes when every descriptor sits at
+    its component's mean.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.shape[1] != gmm.dim:
@@ -393,11 +385,15 @@ def fisher_gradients(
         )
     t = descriptors.shape[0]
     resp = gmm_posteriors(gmm, descriptors)
-    sigma = np.sqrt(gmm.variances)
-    diff = (descriptors[:, None, :] - gmm.means[None, :, :]) / sigma[None, :, :]
+    centre = descriptors.mean(axis=0)
+    x = descriptors - centre
+    mu = gmm.means - centre
+    s0 = resp.sum(axis=0)[:, None]
+    s1 = resp.T @ x
+    s2 = resp.T @ (x * x)
     root_w = np.sqrt(gmm.weights)[:, None]
-    grad_means = np.einsum("tk,tkd->kd", resp, diff) / (t * root_w)
-    grad_vars = np.einsum("tk,tkd->kd", resp, diff**2 - 1.0) / (
+    grad_means = (s1 - s0 * mu) / np.sqrt(gmm.variances) / (t * root_w)
+    grad_vars = ((s2 - 2.0 * mu * s1 + s0 * mu**2) / gmm.variances - s0) / (
         t * np.sqrt(2.0) * root_w
     )
     return grad_means, grad_vars

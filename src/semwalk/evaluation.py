@@ -12,11 +12,12 @@ class partition is computed once over every annotation in the dataset
 One fold loop, `sweep`, evaluates a list of configs; `run_lopo` is its
 one-config case.  Within a fold, configs with the same encoding, gamma,
 fraction and seed share one encoder and one encoding of every segment,
-and sembed configs that also share m share one graph; z, t, k, lambda,
-epochs and step apply per config.  All randomness derives from
-per-fold seed sequences keyed by the person's rank among the dataset's
-sorted persons.  The CLI's staged commands and each fold share the
-stage functions `train_encoder`, `encode_segments` and `graph_nodes`.
+sembed configs that also share m share one graph, and configs that
+also agree on every field their method reads share the fold's records.
+All randomness derives from per-fold seed sequences keyed by the
+person's rank among the dataset's sorted persons.  The CLI's staged
+commands and each fold share the stage functions `train_encoder`,
+`encode_segments` and `graph_nodes`.
 """
 from __future__ import annotations
 
@@ -41,6 +42,9 @@ LINEAR = "linear"
 METHODS = (SEMBED, KNN, LINEAR)
 ENCODINGS = (encoding.BOW, encoding.FV)
 SWEEP_KEYS = ("z", "t", "m", "gamma", "k")
+# The config fields each method's classification reads, beyond those
+# that pick the encoder.
+METHOD_FIELDS = {SEMBED: ("m", "z", "t"), KNN: ("k",), LINEAR: ("lam", "epochs", "step")}
 # Option names that differ from the config field they set; every other
 # option is named after its field.  Report headers use the same names.
 OPTION_NAMES = {"lam": "lambda", "points_per_cluster": "points"}
@@ -220,8 +224,10 @@ def sweep(
     the folds; one report per config, in order.
 
     Within a fold, configs with the same encoding, gamma, fraction and
-    seed share one encoder and one encoding of every segment, and sembed
-    configs that also share m share one graph and transition matrix.
+    seed share one encoder and one encoding of every segment, sembed
+    configs that also share m share one graph and transition matrix,
+    and configs that also agree on the method's `METHOD_FIELDS` share
+    one classification of the fold's queries.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -243,6 +249,7 @@ def sweep(
             raise RuntimeError(f"fold hygiene violated for person {person!r}")
         encodings: dict[tuple, dict[str, encoding.EncodedVector]] = {}
         graphs: dict[tuple, tuple[graph.SvgGraph, graph.csr_array]] = {}
+        classified: dict[tuple, list[QueryRecord]] = {}
         for config, config_records in zip(configs, records):
             seed = _fold_seed(config.seed, rank)
             key = (config.encoding, config.gamma, config.fraction, config.seed)
@@ -254,10 +261,13 @@ def sweep(
                 svg = graph.build_svg(graph_nodes(train, encoded, mode), taxonomy, mode, config.m)
                 graphs[key, config.m] = (svg, graph.normalize_transitions(svg))
                 del svg  # held by `graphs` alone, so the next fold frees it
-            config_records += _classify_fold(
-                train, test, encoded, graphs.get((key, config.m)), taxonomy, mode, method,
-                config, partition, cmap, seed,
-            )
+            settings = (key, *(getattr(config, name) for name in METHOD_FIELDS[method]))
+            if settings not in classified:
+                classified[settings] = _classify_fold(
+                    train, test, encoded, graphs.get((key, config.m)), taxonomy, mode,
+                    method, config, partition, cmap, seed,
+                )
+            config_records += classified[settings]
         train_ids = tuple(seg.segment_id for seg in train.segments)
         folds.append(
             FoldInfo(

@@ -9,6 +9,8 @@ import itertools
 import numpy as np
 from scipy.sparse import csr_array
 
+from semwalk.encoding import gmm_posteriors
+
 
 def brute_force_edges(distances, is_related, m):
     """Undirected edge set per the construction rules, built pair by pair.
@@ -120,13 +122,37 @@ def random_taxonomy_lines(rng, size):
 
 def broadcast_log_gaussians(points, means, variances):
     """log N(x | mean_k, diag var_k) from one points x components x dim
-    broadcast, the unblocked form whose bits the library's blocked
-    kernel must reproduce.
+    broadcast, the reference the library's expanded kernel is held to
+    within a tolerance.
     """
     log_det = np.sum(np.log(2.0 * np.pi * variances), axis=1)
     diff = points[:, None, :] - means[None, :, :]
     mahalanobis = np.sum(diff**2 / variances[None, :, :], axis=2)
     return -0.5 * (log_det[None, :] + mahalanobis)
+
+
+def einsum_fisher_gradients(gmm, descriptors):
+    """Raw Fisher gradient blocks from one rows x components x dim array
+    of whitened differences, the reference the library's
+    sufficient-statistics form is held to within a tolerance.  The
+    responsibilities come from the library's E-step, so only the
+    gradients' assembly is compared.
+    """
+    descriptors = np.asarray(descriptors, dtype=np.float64)
+    if descriptors.shape[1] != gmm.dim:
+        raise ValueError(
+            f"descriptor dim {descriptors.shape[1]} != model dim {gmm.dim}"
+        )
+    t = descriptors.shape[0]
+    resp = gmm_posteriors(gmm, descriptors)
+    sigma = np.sqrt(gmm.variances)
+    diff = (descriptors[:, None, :] - gmm.means[None, :, :]) / sigma[None, :, :]
+    root_w = np.sqrt(gmm.weights)[:, None]
+    grad_means = np.einsum("tk,tkd->kd", resp, diff) / (t * root_w)
+    grad_vars = np.einsum("tk,tkd->kd", resp, diff**2 - 1.0) / (
+        t * np.sqrt(2.0) * root_w
+    )
+    return grad_means, grad_vars
 
 
 def expanded_squared_distances(points, centers):

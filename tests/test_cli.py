@@ -377,6 +377,21 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err == "semwalk: error: k must be >= 1, got 0\n"
 
+    def test_bad_grid_list_in_config_file_names_its_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("z=1,x\n", encoding="utf-8")
+        code = dispatch(
+            [
+                "sweep", "--manifest", str(tmp_path / "missing.tsv"),
+                "--method", "knn", "--config", str(config),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"semwalk: error: {config}:1: z: expected a comma-separated integer list, "
+            "got '1,x'\n"
+        )
+
     def test_sweep_without_grid_rejected(self, tmp_path, capsys):
         data = gen(tmp_path, "data")
         code = dispatch(

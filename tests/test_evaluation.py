@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import semwalk.baselines
+import semwalk.encoding
 import semwalk.evaluation
 import semwalk.graph
+import semwalk.inference
 from semwalk.dataset import parse_manifest, read_descriptor_file
 from semwalk.evaluation import (
     EvalConfig,
@@ -16,6 +19,8 @@ from semwalk.evaluation import (
     write_report,
 )
 from semwalk.semantics import AH, AM, AS, parse_taxonomy, semantic_classes
+
+from _oracles import broadcast_log_gaussians, einsum_fisher_gradients
 
 SMALL_SPEC = SyntheticSpec(
     clusters=3,
@@ -359,6 +364,61 @@ class TestSweep:
         # 3 folds: one encoder per (fold, gamma), one graph per (fold, gamma, m).
         assert calls == {"train_encoder": 6, "build_svg": 12}
 
+
+    @pytest.mark.parametrize(
+        "method,grid,module,name",
+        [
+            ("linear", {"t": [0, 3]}, semwalk.baselines, "train_weighted_linear"),
+            ("sembed", {"k": [1, 3]}, semwalk.inference, "classify_batch"),
+        ],
+        ids=["linear", "sembed"],
+    )
+    def test_fold_shares_records_across_settings_the_method_ignores(
+        self, small_dataset, monkeypatch, method, grid, module, name
+    ):
+        ds, tax = small_dataset
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        configs = sweep_configs(grid, SMALL_CONFIG)
+        reports = sweep(ds, tax, AS, method, configs)
+        monkeypatch.undo()
+        assert len(calls) == 3  # one per fold, not one per (fold, config)
+        for config, report in zip(configs, reports):
+            assert format_report(report) == format_report(run_lopo(ds, tax, AS, method, config))
+
+
+class TestFisherKernels:
+    @pytest.fixture(scope="class")
+    def noisy_dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("noisy")
+        manifest_path, taxonomy_path = gen_synthetic(
+            SyntheticSpec(sigma=10.0, seed=1), out
+        )
+        return parse_manifest(manifest_path), parse_taxonomy(taxonomy_path)
+
+    @pytest.mark.parametrize("method", ["knn", "sembed", "linear"])
+    def test_predictions_equal_under_the_oracle_kernels(
+        self, noisy_dataset, monkeypatch, method
+    ):
+        # The expanded E-step and the sufficient-statistics Fisher
+        # gradients move the encodings in their last digits only: every
+        # prediction stays the broadcast/einsum kernels' one.
+        ds, tax = noisy_dataset
+        config = EvalConfig(encoding="fv", gamma=6)
+        fast = run_lopo(ds, tax, AS, method, config)
+        monkeypatch.setattr(semwalk.encoding, "_log_gaussians", broadcast_log_gaussians)
+        monkeypatch.setattr(semwalk.encoding, "fisher_gradients", einsum_fisher_gradients)
+        slow = run_lopo(ds, tax, AS, method, config)
+        assert [r.predicted_class for r in fast.records] == [
+            r.predicted_class for r in slow.records
+        ]
+        assert fast.accuracy == slow.accuracy < 1.0
 
 class TestReportFile:
     def test_report_layout(self, small_dataset, tmp_path):
