@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import EncodedVector, distance
+from .encoding import EncodedVector, distance, shortlist
 
 # L2 shrink applied to the scorers at every SGD step.
 REG = 1e-4
@@ -50,8 +50,9 @@ def knn_vote(
     """Majority vote over the k nearest neighbors, with vote shares.
 
     `train_vectors` is the training set stacked once (`encoding.stack`).
-    Neighbor selection orders by (distance, index); vote ties prefer the
-    tied class with the smaller mean neighbor distance, then the
+    Neighbor selection orders by (distance, index), with `distance`
+    taken only on the rows `encoding.shortlist` keeps; vote ties prefer
+    the tied class with the smaller mean neighbor distance, then the
     lexicographically smaller name.  k is clamped to the training size.
     """
     size = train_vectors.values.shape[0]
@@ -62,14 +63,16 @@ def knn_vote(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, size)
-    dists = distance(query, train_vectors)
+    rows = shortlist(query, train_vectors, k)
+    near = EncodedVector(train_vectors.values[rows], train_vectors.kind)
+    dists = distance(query, near)
     order = np.argsort(dists, kind="stable")[:k]
     votes: dict[str, int] = {}
     dist_sums: dict[str, float] = {}
-    for idx in order:
-        label = train_labels[int(idx)]
+    for idx, dist in zip(rows[order].tolist(), dists[order].tolist()):
+        label = train_labels[idx]
         votes[label] = votes.get(label, 0) + 1
-        dist_sums[label] = dist_sums.get(label, 0.0) + float(dists[idx])
+        dist_sums[label] = dist_sums.get(label, 0.0) + dist
     top = max(votes.values())
     tied = [label for label, count in votes.items() if count == top]
     winner = min(tied, key=lambda lb: (dist_sums[lb] / votes[lb], lb))

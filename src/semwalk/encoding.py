@@ -14,18 +14,26 @@ immutable; encoding different videos in parallel is safe.
 
 Memory: training and Fisher encoding share one E-step (`_e_step`),
 whose Gaussian log-densities come from the expanded Mahalanobis form,
-two points x dim @ dim x components products on centred data, so the
-largest EM temporaries are points x dim or points x components; its
-log-normalizer is scipy's logsumexp algorithm in plain numpy
-(`_logsumexp_rows`).  Fisher gradients come from the responsibilities'
-sufficient statistics (S0, S1, S2), components x dim each.  k-means
-builds one points x centers array per fit and reuses it, and each
-center update sorts the pool by label once.
+two points x dim @ dim x components products on data centred once per
+fit or video (`_centred`), so the largest EM temporaries are
+points x dim or points x components; its log-normalizer is scipy's
+logsumexp algorithm in plain numpy (`_logsumexp_rows`).  Fisher
+gradients come from the responsibilities' sufficient statistics (S0,
+S1, S2), components x dim each.  k-means builds one points x centers
+array per fit and reuses it, and each center update sorts the pool by
+label once.
+
+Nearest neighbors: `distance` compares one encoding with every row of
+a stack.  `shortlist` bounds the rows that can be among the k nearest
+with one matrix-vector product and a rounding-error margin, so callers
+take `distance` on those rows only and get the same neighbors and
+bits as from every row, with no rows x length temporary.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -46,11 +54,20 @@ class EncodedVector:
     """A fixed-length vector of one kind ("bow" or "fv").
 
     `values` is one encoding, or, from `stack`, several encodings of
-    that kind stacked row-wise: the form `distance` compares against.
+    that kind stacked row-wise: the form `distance` and `shortlist`
+    compare against.
     """
 
     values: np.ndarray
     kind: str
+
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """Each row's squared Euclidean length, computed on first use and
+        read-only; the stack's values must not change after that."""
+        norms = np.vecdot(self.values, self.values)
+        norms.flags.writeable = False
+        return norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +76,13 @@ class Codebook:
 
     `inertia_history` records the sum of squared distances to the
     nearest center after every assignment step (non-increasing).
+    `converged` is True when the fit stopped on stable labels and False
+    when it stopped at `max_iters` (or was read back by `load_model`).
     """
 
     centers: np.ndarray
     inertia_history: list[float]
+    converged: bool = False
 
     @property
     def size(self) -> int:
@@ -79,13 +99,16 @@ class GmmModel:
 
     `log_likelihood_history` records the per-point average
     log-likelihood after every EM iteration (non-decreasing up to
-    floating-point slack).
+    floating-point slack).  `converged` is True when the fit stopped on
+    `tol` and False when it stopped at `max_iters` (or was read back by
+    `load_model`).
     """
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
     log_likelihood_history: list[float]
+    converged: bool = False
 
     @property
     def components(self) -> int:
@@ -198,15 +221,19 @@ def train_kmeans(
     sq = np.empty((n, size))
     inertia_history: list[float] = []
     labels = None
+    converged = False
     for _ in range(max_iters):
         sq = _squared_distances(terms, centers, out=sq)
         new_labels = np.argmin(sq, axis=1)
         inertia_history.append(float(sq[np.arange(n), new_labels].sum()))
         if labels is not None and np.array_equal(new_labels, labels):
+            converged = True
             break
         labels = new_labels
         _update_centers(pool, labels, centers)
-    return Codebook(centers=centers, inertia_history=inertia_history)
+    return Codebook(
+        centers=centers, inertia_history=inertia_history, converged=converged
+    )
 
 
 def _update_centers(pool: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
@@ -246,23 +273,34 @@ def _variance_floor(pool: np.ndarray) -> np.ndarray:
     return np.maximum(1e-6 * pool.var(axis=0), 1e-12)
 
 
+_Centred = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _centred(points: np.ndarray) -> _Centred:
+    """The points' mean, the points shifted by it, and their squares:
+    the form the E-step takes, prepared once per set of points."""
+    centre = points.mean(axis=0)
+    x = points - centre
+    return centre, x, x * x
+
+
 def _log_gaussians(
-    points: np.ndarray, means: np.ndarray, variances: np.ndarray
+    centred: _Centred, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
     """log N(x | mean_k, diag var_k) for every point/component pair.
 
-    The Mahalanobis term is expanded as x^2.P - 2x.(mean P) + mean^2.P
-    with P = 1/var, two matrix products with no points x components x
-    dim array.  Points and means are first shifted by the points' mean,
-    which leaves the term unchanged and keeps the expansion's
-    cancellation bounded when the data sit far from the origin.
+    The points come `_centred`.  The Mahalanobis term is expanded as
+    x^2.P - 2x.(mean P) + mean^2.P with P = 1/var, two matrix products
+    with no points x components x dim array.  Points and means are
+    shifted by the points' mean, which leaves the term unchanged and
+    keeps the expansion's cancellation bounded when the data sit far
+    from the origin.
     """
-    centre = points.mean(axis=0)
-    x = points - centre
+    centre, x, x_sq = centred
     mu = means - centre
     precision = 1.0 / variances
     log_det = np.sum(np.log(2.0 * np.pi * variances), axis=1)
-    out = (x * x) @ precision.T
+    out = x_sq @ precision.T
     out -= x @ (2.0 * mu * precision).T
     out += np.sum(mu * mu * precision, axis=1) + log_det
     out *= -0.5
@@ -270,17 +308,17 @@ def _log_gaussians(
 
 
 def _e_step(
-    points: np.ndarray,
+    centred: _Centred,
     weights: np.ndarray,
     means: np.ndarray,
     variances: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities (rows sum to 1) and per-point log-likelihoods.
 
-    The one E-step shared by EM training and Fisher encoding; the
-    log-likelihoods come back as an n x 1 column.
+    The one E-step shared by EM training and Fisher encoding, on
+    `_centred` points; the log-likelihoods come back as an n x 1 column.
     """
-    log_joint = _log_gaussians(points, means, variances)
+    log_joint = _log_gaussians(centred, means, variances)
     log_joint += np.log(weights)
     log_norm = _logsumexp_rows(log_joint)
     log_joint -= log_norm
@@ -307,7 +345,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 def gmm_posteriors(gmm: GmmModel, points: np.ndarray) -> np.ndarray:
     """Component responsibilities for each point (rows sum to 1)."""
-    return _e_step(points, gmm.weights, gmm.means, gmm.variances)[0]
+    return _e_step(_centred(points), gmm.weights, gmm.means, gmm.variances)[0]
 
 
 def train_gmm(
@@ -323,7 +361,8 @@ def train_gmm(
     uniform and variances start at the pooled per-dimension variance.
     Iterations stop when the per-point average log-likelihood improves
     by less than `tol`, or at `max_iters`.  Variances are floored every
-    step to keep components from collapsing onto duplicate points.
+    step to keep components from collapsing onto duplicate points.  The
+    pool is centred once, for every E-step of the fit.
     """
     pool = np.asarray(pool, dtype=np.float64)
     n = pool.shape[0]
@@ -340,9 +379,11 @@ def train_gmm(
     weights = np.full(components, 1.0 / components)
     variances = np.tile(np.maximum(pool.var(axis=0), floor), (components, 1))
     pool_sq = pool**2
+    centred = _centred(pool)
     history: list[float] = []
+    converged = False
     for _ in range(max_iters):
-        resp, log_norm = _e_step(pool, weights, means, variances)
+        resp, log_norm = _e_step(centred, weights, means, variances)
         history.append(float(log_norm.mean()))
         counts = resp.sum(axis=0)
         safe = np.maximum(counts, 1e-300)
@@ -356,12 +397,14 @@ def train_gmm(
             weights = np.maximum(weights, 1e-12)
             weights = weights / weights.sum()
         if len(history) > 1 and history[-1] - history[-2] < tol:
+            converged = True
             break
     return GmmModel(
         weights=weights,
         means=means,
         variances=variances,
         log_likelihood_history=history,
+        converged=converged,
     )
 
 
@@ -375,8 +418,8 @@ def fisher_gradients(
     statistics S0 = sum g, S1 = sum g x and S2 = sum g x^2 (Sanchez et
     al., IJCV 2013), with descriptors and means shifted by the
     descriptors' mean to bound the cancellation in S2 - 2 mean S1 +
-    S0 mean^2.  The mean block vanishes when every descriptor sits at
-    its component's mean.
+    S0 mean^2; the E-step reads the same centred descriptors.  The mean
+    block vanishes when every descriptor sits at its component's mean.
     """
     descriptors = np.asarray(descriptors, dtype=np.float64)
     if descriptors.shape[1] != gmm.dim:
@@ -384,13 +427,13 @@ def fisher_gradients(
             f"descriptor dim {descriptors.shape[1]} != model dim {gmm.dim}"
         )
     t = descriptors.shape[0]
-    resp = gmm_posteriors(gmm, descriptors)
-    centre = descriptors.mean(axis=0)
-    x = descriptors - centre
+    centred = _centred(descriptors)
+    centre, x, x_sq = centred
+    resp = _e_step(centred, gmm.weights, gmm.means, gmm.variances)[0]
     mu = gmm.means - centre
     s0 = resp.sum(axis=0)[:, None]
     s1 = resp.T @ x
-    s2 = resp.T @ (x * x)
+    s2 = resp.T @ x_sq
     root_w = np.sqrt(gmm.weights)[:, None]
     grad_means = (s1 - s0 * mu) / np.sqrt(gmm.variances) / (t * root_w)
     grad_vars = ((s2 - 2.0 * mu * s1 + s0 * mu**2) / gmm.variances - s0) / (
@@ -426,7 +469,19 @@ def stack(vectors: Sequence[EncodedVector]) -> EncodedVector:
     lengths = {v.values.shape for v in vectors}
     if len(lengths) != 1:
         raise ValueError(f"mixed encoding lengths: {sorted(lengths)}")
-    return EncodedVector(values=np.vstack([v.values for v in vectors]), kind=kinds.pop())
+    values = np.vstack([v.values for v in vectors])
+    values.flags.writeable = False
+    return EncodedVector(values=values, kind=kinds.pop())
+
+
+def _check_comparable(a: EncodedVector, b: EncodedVector) -> None:
+    """Raise unless `b` stacks encodings of `a`'s kind and length."""
+    if a.kind != b.kind:
+        raise ValueError(f"encoding kind mismatch: {a.kind!r} vs {b.kind!r}")
+    if a.values.ndim != 1 or b.values.ndim != 2 or b.values.shape[1:] != a.values.shape:
+        raise ValueError(
+            f"encoding length mismatch: {a.values.shape} vs {b.values.shape}"
+        )
 
 
 def distance(a: EncodedVector, b: EncodedVector) -> np.ndarray:
@@ -435,14 +490,45 @@ def distance(a: EncodedVector, b: EncodedVector) -> np.ndarray:
     `b` is encodings of `a`'s kind stacked row-wise (`stack`); the
     result holds one distance per row, each sqrt(vecdot(a - b, a - b)).
     """
-    if a.kind != b.kind:
-        raise ValueError(f"encoding kind mismatch: {a.kind!r} vs {b.kind!r}")
-    if a.values.ndim != 1 or b.values.ndim != 2 or b.values.shape[1:] != a.values.shape:
-        raise ValueError(
-            f"encoding length mismatch: {a.values.shape} vs {b.values.shape}"
-        )
+    _check_comparable(a, b)
     diff = a.values - b.values
     return np.sqrt(np.vecdot(diff, diff))
+
+
+def shortlist(query: EncodedVector, stacked: EncodedVector, k: int) -> np.ndarray:
+    """Ascending indices of every row of `stacked` that can be among the
+    k nearest to `query`, nearness being `distance` with ties to the
+    lower index.
+
+    One matrix-vector product against the stack's cached
+    `squared_norms` estimates each row's |b|^2 - 2b.q, its squared
+    distance less the |q|^2 every row shares.  Rows whose estimate is
+    within 2 delta of the k-th smallest are kept, with delta =
+    4 (L + 4) (eps (|q|^2 + max |b|^2) + the smallest subnormal) for
+    length L: at least twice the rounding error of the expansion and of
+    `distance` itself, by the dot-product bound gamma_L |q| |b| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), so
+    any row left out has k kept rows strictly nearer.  Taking
+    `distance` on the kept rows and a stable sort therefore gives the
+    indices and bits of sorting every row.  Every row is kept when k
+    reaches the row count, or when 4 (|q|^2 + max |b|^2) is not finite
+    and no bound holds.
+    """
+    _check_comparable(query, stacked)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    rows, length = stacked.values.shape
+    if k >= rows:
+        return np.arange(rows)
+    norms = stacked.squared_norms
+    scale = float(query.values @ query.values) + float(norms.max())
+    if not np.isfinite(4.0 * scale):
+        return np.arange(rows)
+    estimate = norms - 2.0 * (stacked.values @ query.values)
+    kth = np.partition(estimate, k - 1)[k - 1]
+    info = np.finfo(np.float64)
+    delta = 4.0 * (length + 4) * (info.eps * scale + info.smallest_subnormal)
+    return np.flatnonzero(estimate <= kth + 2.0 * delta)
 
 
 def _format_row(values: np.ndarray) -> str:

@@ -163,7 +163,7 @@ def _classify_fold(
     train: Dataset,
     test: Dataset,
     encoded: dict[str, encoding.EncodedVector],
-    walk_graph: tuple[graph.SvgGraph, graph.csr_array] | None,
+    walk_graph: tuple[graph.SvgGraph, graph.csc_array] | None,
     taxonomy: semantics.Taxonomy | None,
     mode: str,
     method: str,
@@ -248,7 +248,7 @@ def sweep(
         if person in train_persons:
             raise RuntimeError(f"fold hygiene violated for person {person!r}")
         encodings: dict[tuple, dict[str, encoding.EncodedVector]] = {}
-        graphs: dict[tuple, tuple[graph.SvgGraph, graph.csr_array]] = {}
+        graphs: dict[tuple, tuple[graph.SvgGraph, graph.csc_array]] = {}
         classified: dict[tuple, list[QueryRecord]] = {}
         for config, config_records in zip(configs, records):
             seed = _fold_seed(config.seed, rank)

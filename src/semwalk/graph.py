@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
 
 from . import semantics
 from .dataset import atomic_write_text
@@ -81,9 +81,7 @@ class SvgGraph:
         """
         if any(node.vector is None for node in self.nodes):
             raise ValueError("graph nodes carry no vectors")
-        stacked = stack([node.vector for node in self.nodes])
-        stacked.values.flags.writeable = False
-        return stacked
+        return stack([node.vector for node in self.nodes])
 
     @cached_property
     def annotation_codes(self) -> tuple[tuple[str, ...], np.ndarray]:
@@ -176,11 +174,13 @@ def build_svg(
     )
 
 
-def normalize_transitions(graph: SvgGraph) -> csr_array:
+def normalize_transitions(graph: SvgGraph) -> csc_array:
     """Row-stochastic transition matrix from reciprocal edge weights.
 
     A[i, j] = (1 / w_ij) / sum_k (1 / w_ik): the shortest edge out of a
-    node gets the largest probability, and each row sums to one.
+    node gets the largest probability, and each row sums to one.  The
+    matrix is stored by columns, so its transpose, which the walk
+    applies, is a CSR view with no copy.
     """
     n = len(graph.nodes)
     ends = np.concatenate((graph.ends, graph.ends[:, ::-1]))
@@ -209,7 +209,7 @@ def normalize_transitions(graph: SvgGraph) -> csr_array:
             f"reciprocal edge weights out of node {int(overflow[0])} sum to "
             f"{float(recip_sums[overflow[0]])}, not a finite number"
         )
-    return csr_array((recip / recip_sums[rows], (rows, cols)), shape=(n, n))
+    return csc_array((recip / recip_sums[rows], (rows, cols)), shape=(n, n))
 
 
 def save_graph(graph: SvgGraph, path: str | Path) -> None:

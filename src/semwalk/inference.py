@@ -1,7 +1,7 @@
 """Embedding a query into the graph and walking to a label distribution.
 
 A query video is never inserted into the transition matrix.  Instead,
-its distances to all training nodes seed a start vector q: the z
+its distances to the training nodes seed a start vector q: the z
 visually closest nodes receive reciprocal-distance-normalized mass and
 everything else zero.  Multiplying q by the transition matrix t times
 gives the probability of standing on each training node after t steps;
@@ -11,12 +11,16 @@ the argmax is the predicted class.
 With t = 0 the pipeline degenerates to reciprocal-distance-weighted
 z-nearest-neighbor voting over classes.
 
-Many queries are classified as one block: each is embedded on its own,
-then one walk moves all start vectors at once as the columns of an
-n x k matrix.  Each column gets exactly the floats it would get alone.
-A walk takes the transpose of the transition matrix once and applies
-it t times; the node -> class index comes from the graph's annotation
-codes, so each call maps only the graph's distinct annotations.
+The z closest nodes come from `encoding.shortlist`, which bounds the
+candidates with one matrix-vector product; exact distances are taken on
+those nodes only, so the neighbors and their distances are those of a
+stable sort over every node.  Many queries are classified as one
+block: each is embedded on its own, then one walk moves all start
+vectors at once as the columns of an n x k matrix.  Each column gets
+exactly the floats it would get alone.  The transition matrix is
+stored by columns, so the walk applies its transpose as a CSR view; the
+node -> class index comes from the graph's annotation codes, so each
+call maps only the graph's distinct annotations.
 """
 from __future__ import annotations
 
@@ -24,10 +28,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
 
 from . import semantics
-from .encoding import DISTANCE_EPSILON, EncodedVector, distance
+from .encoding import DISTANCE_EPSILON, EncodedVector, distance, shortlist
 from .graph import SvgGraph
 
 
@@ -66,17 +70,27 @@ def embed_query(
     if not np.all(np.isfinite(distances_to_nodes)):
         raise ValueError("query distances must be finite")
     neighbors = np.argsort(distances_to_nodes, kind="stable")[: min(z, n)]
-    recip = 1.0 / (distances_to_nodes[neighbors] + DISTANCE_EPSILON)
     q = np.zeros(n)
-    q[neighbors] = recip / recip.sum()
+    q[neighbors] = _start_mass(distances_to_nodes[neighbors])
     return q
 
 
-def markov_walk(A: csr_array, q: np.ndarray, t: int) -> np.ndarray:
+def _start_mass(distances: np.ndarray) -> np.ndarray:
+    """Start mass of the chosen neighbors, in the order given: the
+    transition matrix's reciprocal normalization over epsilon-floored
+    distances."""
+    recip = 1.0 / (distances + DISTANCE_EPSILON)
+    return recip / recip.sum()
+
+
+def markov_walk(A: csc_array, q: np.ndarray, t: int) -> np.ndarray:
     """Distribution over nodes after t steps: q multiplied by A t times.
 
     q is one start vector or an n x k block of them, one per column.
     t = 0 returns q itself; each column sums to one whenever q's does.
+    With A from `normalize_transitions` (stored by columns), A.T is a
+    CSR view, and each step adds every node's incoming mass in
+    ascending source order.
     """
     q = np.asarray(q, dtype=np.float64)
     if t < 0:
@@ -134,14 +148,29 @@ def argmax_class(distribution: dict[str, float]) -> str:
     return min(name for name, p in distribution.items() if p == best)
 
 
-def query_distances(graph: SvgGraph, query_vector: EncodedVector) -> np.ndarray:
-    """Distances from a query encoding to every node vector."""
-    return distance(query_vector, graph.vector_matrix)
+def query_distances(
+    graph: SvgGraph, query_vector: EncodedVector, z: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The z nodes nearest a query encoding, and their distances.
+
+    Nodes come in (distance, index) order, z clamped to the node count.
+    `distance` is taken only on the nodes `shortlist` keeps, so nodes
+    and distances are bit for bit those of a stable sort of the
+    distances to every node.  A distance that is not finite is
+    rejected.
+    """
+    nodes = graph.vector_matrix
+    rows = shortlist(query_vector, nodes, z)
+    dists = distance(query_vector, EncodedVector(nodes.values[rows], nodes.kind))
+    if not np.all(np.isfinite(dists)):
+        raise ValueError("query distances must be finite")
+    order = np.argsort(dists, kind="stable")[:z]
+    return rows[order], dists[order]
 
 
 def classify_batch(
     graph: SvgGraph,
-    A: csr_array,
+    A: csc_array,
     taxonomy: semantics.Taxonomy | None,
     mode: str,
     query_vectors: Sequence[EncodedVector],
@@ -161,10 +190,10 @@ def classify_batch(
         )
     if not query_vectors:
         return []
-    starts = np.empty((len(graph.nodes), len(query_vectors)))
+    starts = np.zeros((len(graph.nodes), len(query_vectors)))
     for k, query_vector in enumerate(query_vectors):
-        dists = query_distances(graph, query_vector)
-        starts[:, k] = embed_query(graph, dists, config.z)
+        nearest, dists = query_distances(graph, query_vector, config.z)
+        starts[nearest, k] = _start_mass(dists)
     node_dists = markov_walk(A, starts, config.t)
     return [
         (argmax_class(dist), dist)
@@ -174,7 +203,7 @@ def classify_batch(
 
 def classify(
     graph: SvgGraph,
-    A: csr_array,
+    A: csc_array,
     taxonomy: semantics.Taxonomy | None,
     mode: str,
     query_vector: EncodedVector,

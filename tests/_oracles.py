@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 from scipy.sparse import csr_array
 
-from semwalk.encoding import gmm_posteriors
+from semwalk.encoding import distance, gmm_posteriors
 
 
 def brute_force_edges(distances, is_related, m):
@@ -230,3 +230,21 @@ def loop_markov_walk(transition, start, steps):
     for _ in range(steps):
         out = transition.T @ out
     return out
+
+
+def centred_broadcast_log_gaussians(centred, means, variances):
+    """`broadcast_log_gaussians` taking the E-step's `_centred` form: the
+    shifted points against the means shifted by the same centre, the
+    same densities.
+    """
+    centre, x, _x_sq = centred
+    return broadcast_log_gaussians(x, means - centre, variances)
+
+
+def full_sort_nearest(query, stacked, k):
+    """Ascending indices of the k rows nearest `query` in (distance,
+    index) order, from one stable sort of `distance` to every row: the
+    smallest shortlist, and what any shortlist must contain.
+    """
+    order = np.argsort(distance(query, stacked), kind="stable")[:k]
+    return np.sort(order)

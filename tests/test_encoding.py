@@ -11,6 +11,7 @@ from semwalk.encoding import (
     BOW,
     FV,
     Codebook,
+    EncodedVector,
     GmmModel,
     distance,
     encode_bow,
@@ -19,6 +20,7 @@ from semwalk.encoding import (
     gmm_posteriors,
     load_model,
     save_model,
+    shortlist,
     stack,
     subsample,
     train_gmm,
@@ -27,8 +29,10 @@ from semwalk.encoding import (
 
 from _oracles import (
     broadcast_log_gaussians,
+    centred_broadcast_log_gaussians,
     einsum_fisher_gradients,
     expanded_squared_distances,
+    full_sort_nearest,
     mask_update_centers,
 )
 from conftest import vec
@@ -109,6 +113,20 @@ class TestKmeans:
         one = train_kmeans(pool, 4, seed=7)
         two = train_kmeans(pool, 4, seed=7)
         assert np.array_equal(one.centers, two.centers)
+
+    def test_converged_on_stable_labels_even_at_the_last_iteration(self):
+        pool = np.vstack(two_clusters(np.random.default_rng(5)))
+        book = train_kmeans(pool, 2, seed=1)
+        iters = len(book.inertia_history)
+        assert book.converged and iters < 100
+        assert train_kmeans(pool, 2, seed=1, max_iters=iters).converged
+
+    def test_not_converged_at_max_iters(self):
+        pool = np.vstack(two_clusters(np.random.default_rng(5)))
+        iters = len(train_kmeans(pool, 2, seed=1).inertia_history)
+        capped = train_kmeans(pool, 2, seed=1, max_iters=iters - 1)
+        assert len(capped.inertia_history) == iters - 1
+        assert not capped.converged
 
 
 class TestKmeansKernel:
@@ -246,6 +264,20 @@ class TestGmm:
         assert np.array_equal(one.means, two.means)
         assert np.array_equal(one.variances, two.variances)
 
+    def test_converged_on_tol_even_at_the_last_iteration(self):
+        pool = np.vstack(two_clusters(np.random.default_rng(8)))
+        gmm = train_gmm(pool, 2, seed=2, tol=1e-3)
+        iters = len(gmm.log_likelihood_history)
+        assert gmm.converged and iters < 100
+        assert train_gmm(pool, 2, seed=2, max_iters=iters, tol=1e-3).converged
+
+    def test_not_converged_at_max_iters(self):
+        pool = np.vstack(two_clusters(np.random.default_rng(8)))
+        iters = len(train_gmm(pool, 2, seed=2, tol=1e-3).log_likelihood_history)
+        capped = train_gmm(pool, 2, seed=2, max_iters=iters - 1, tol=1e-3)
+        assert len(capped.log_likelihood_history) == iters - 1
+        assert not capped.converged
+
 
 class TestLogGaussians:
     """The expanded kernel against the broadcast, to a relative tolerance.
@@ -270,7 +302,7 @@ class TestLogGaussians:
         points = rng.standard_normal((n, dim)) * 3.0 + offset
         means = rng.standard_normal((k, dim)) + offset
         variances = rng.random((k, dim)) + 0.05
-        got = encoding._log_gaussians(points, means, variances)
+        got = encoding._log_gaussians(encoding._centred(points), means, variances)
         assert got.shape == (n, k)
         np.testing.assert_allclose(
             got, broadcast_log_gaussians(points, means, variances), rtol=1e-12, atol=0
@@ -279,7 +311,7 @@ class TestLogGaussians:
     def test_training_bit_equal_to_broadcast(self, monkeypatch):
         pool = np.random.default_rng(31).standard_normal((700, 8)) * 2.0
         fast = train_gmm(pool, 5, seed=2, max_iters=40)
-        monkeypatch.setattr(encoding, "_log_gaussians", broadcast_log_gaussians)
+        monkeypatch.setattr(encoding, "_log_gaussians", centred_broadcast_log_gaussians)
         slow = train_gmm(pool, 5, seed=2, max_iters=40)
         assert len(fast.log_likelihood_history) == len(slow.log_likelihood_history)
         for got, want in (
@@ -315,7 +347,8 @@ class TestLogGaussians:
 
 
 def _scipy_log_norm(points, weights, means, variances):
-    log_joint = encoding._log_gaussians(points, means, variances) + np.log(weights)
+    log_joint = encoding._log_gaussians(encoding._centred(points), means, variances)
+    log_joint += np.log(weights)
     return logsumexp(log_joint, axis=1, keepdims=True)
 
 
@@ -327,7 +360,9 @@ class TestLogNormalizer:
     """`_e_step`'s log-normalizer against the installed scipy, bit for bit."""
 
     def _check(self, points, weights, means, variances):
-        _resp, log_norm = encoding._e_step(points, weights, means, variances)
+        _resp, log_norm = encoding._e_step(
+            encoding._centred(points), weights, means, variances
+        )
         want = _scipy_log_norm(points, weights, means, variances)
         assert log_norm.shape == want.shape == (points.shape[0], 1)
         assert log_norm.tobytes() == want.tobytes()
@@ -349,7 +384,7 @@ class TestLogNormalizer:
         variances = np.ones((4, 3))
         points = rng.standard_normal((50, 3))
         points[:5] = 0.0
-        log_joint = encoding._log_gaussians(points, means, variances)
+        log_joint = encoding._log_gaussians(encoding._centred(points), means, variances)
         tied = np.sum(log_joint == log_joint.max(axis=1, keepdims=True), axis=1) > 1
         assert tied.sum() >= 5
         self._check(points, np.full(4, 0.25), means, variances)
@@ -488,6 +523,89 @@ class TestDistance:
             stack([vec([1.0]), vec([1.0, 2.0])])
         with pytest.raises(ValueError, match="no encodings"):
             stack([])
+
+
+def _shortlist_case(kind, rng):
+    """A query and a stack on which the expansion's rounding matters."""
+    rows, length = int(rng.integers(2, 30)), int(rng.integers(1, 70))
+    if kind == "histograms":
+        # Bow-like: few draws over many bins, so exact distance ties abound.
+        draws = int(rng.integers(1, 12))
+        hist = [np.bincount(rng.integers(0, length, draws), minlength=length) / draws
+                for _ in range(rows + 1)]
+        values = np.array(hist)
+    elif kind == "duplicates":
+        distinct = rng.standard_normal((max(1, rows // 3), length))
+        values = distinct[rng.integers(0, distinct.shape[0], rows + 1)]
+    elif kind == "offset":
+        values = 1e3 + rng.integers(0, 3, (rows + 1, length)) / 4
+    else:
+        # Products below the smallest normal, where rounding is absolute.
+        grid = rng.integers(-3, 4, (rows + 1, min(length, 5)))
+        scale = 10.0 ** rng.uniform(-163, -155)
+        values = scale * grid * (1.0 + 1e-3 * rng.standard_normal(grid.shape))
+    query, stacked = values[0], values[1:]
+    return EncodedVector(query, FV), stack([EncodedVector(row, FV) for row in stacked])
+
+
+class TestShortlist:
+    """`shortlist` against one stable sort of every row's `distance`."""
+
+    @pytest.mark.parametrize(
+        "seed,kind", enumerate(["histograms", "duplicates", "offset", "subnormal"])
+    )
+    def test_keeps_every_full_sort_neighbour(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            query, stacked = _shortlist_case(kind, rng)
+            every = distance(query, stacked)
+            rows_total = stacked.values.shape[0]
+            for k in range(1, rows_total + 1):
+                rows = shortlist(query, stacked, k)
+                assert np.all(np.diff(rows) > 0)
+                assert np.isin(full_sort_nearest(query, stacked, k), rows).all()
+                # What callers do: exact distances on the kept rows, a
+                # stable sort, the first k: the full sort's indices and bits.
+                kept = distance(query, EncodedVector(stacked.values[rows], FV))
+                pick = np.argsort(kept, kind="stable")[:k]
+                order = np.argsort(every, kind="stable")[:k]
+                assert rows[pick].tolist() == order.tolist()
+                assert kept[pick].tobytes() == every[order].tobytes()
+
+    def test_far_rows_are_left_out(self):
+        stacked = stack([vec([float(i), 0.0]) for i in range(10)])
+        assert shortlist(vec([0.1, 0.0]), stacked, 2).tolist() == [0, 1]
+        assert shortlist(vec([5.0, 0.0]), stacked, 1).tolist() == [5]
+
+    def test_every_row_when_k_reaches_the_row_count(self):
+        stacked = stack([vec([float(i)]) for i in range(4)])
+        assert shortlist(vec([0.0]), stacked, 4).tolist() == [0, 1, 2, 3]
+        assert shortlist(vec([0.0]), stacked, 9).tolist() == [0, 1, 2, 3]
+
+    def test_every_row_when_no_bound_holds(self):
+        stacked = stack([vec([0.0]), vec([1.0]), vec([np.inf])])
+        assert shortlist(vec([0.0]), stacked, 1).tolist() == [0, 1, 2]
+        stacked = stack([vec([0.0]), vec([1.0]), vec([2.0])])
+        assert shortlist(vec([np.nan]), stacked, 1).tolist() == [0, 1, 2]
+        assert shortlist(vec([1e154]), stacked, 1).tolist() == [0, 1, 2]
+
+    def test_rejects_what_distance_rejects(self):
+        stacked = stack([vec([1.0, 2.0]), vec([3.0, 4.0])])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            shortlist(vec([1.0, 2.0]), stacked, 0)
+        with pytest.raises(ValueError, match="kind"):
+            shortlist(vec([1.0, 2.0], kind=BOW), stacked, 1)
+        with pytest.raises(ValueError, match="length"):
+            shortlist(vec([1.0]), stacked, 1)
+
+    def test_squared_norms_computed_once_and_read_only(self):
+        stacked = stack([vec([3.0, 4.0]), vec([1.0, 0.0])])
+        assert stacked.squared_norms is stacked.squared_norms
+        assert stacked.squared_norms.tolist() == [25.0, 1.0]
+        with pytest.raises(ValueError):
+            stacked.squared_norms[0] = 0.0
+        with pytest.raises(ValueError):
+            stacked.values[0, 0] = 0.0
 
 
 class TestModelFiles:

@@ -20,7 +20,14 @@ from semwalk.evaluation import (
 )
 from semwalk.semantics import AH, AM, AS, parse_taxonomy, semantic_classes
 
-from _oracles import broadcast_log_gaussians, einsum_fisher_gradients
+from _oracles import (
+    centred_broadcast_log_gaussians,
+    einsum_fisher_gradients,
+    full_sort_nearest,
+    loop_markov_walk,
+    loop_normalize_transitions,
+    mask_update_centers,
+)
 
 SMALL_SPEC = SyntheticSpec(
     clusters=3,
@@ -412,13 +419,48 @@ class TestFisherKernels:
         ds, tax = noisy_dataset
         config = EvalConfig(encoding="fv", gamma=6)
         fast = run_lopo(ds, tax, AS, method, config)
-        monkeypatch.setattr(semwalk.encoding, "_log_gaussians", broadcast_log_gaussians)
+        monkeypatch.setattr(
+            semwalk.encoding, "_log_gaussians", centred_broadcast_log_gaussians
+        )
         monkeypatch.setattr(semwalk.encoding, "fisher_gradients", einsum_fisher_gradients)
         slow = run_lopo(ds, tax, AS, method, config)
         assert [r.predicted_class for r in fast.records] == [
             r.predicted_class for r in slow.records
         ]
         assert fast.accuracy == slow.accuracy < 1.0
+
+
+class TestOracleKernels:
+    """Whole LOPO runs as shipped against the same runs with every kernel
+    whose oracle must give the same bits swapped for it."""
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def noisy_dataset(self, request, tmp_path_factory):
+        out = tmp_path_factory.mktemp(f"noisy{request.param}")
+        manifest_path, taxonomy_path = gen_synthetic(
+            SyntheticSpec(sigma=10.0, seed=request.param), out
+        )
+        return parse_manifest(manifest_path), parse_taxonomy(taxonomy_path)
+
+    @pytest.mark.parametrize("encoding_name,gamma", [("bow", 16), ("fv", 6)])
+    @pytest.mark.parametrize("method", ["knn", "sembed"])
+    def test_same_records_under_the_oracle_kernels(
+        self, noisy_dataset, monkeypatch, method, encoding_name, gamma
+    ):
+        ds, tax = noisy_dataset
+        config = EvalConfig(encoding=encoding_name, gamma=gamma)
+        shipped = run_lopo(ds, tax, AS, method, config)
+        monkeypatch.setattr(semwalk.inference, "shortlist", full_sort_nearest)
+        monkeypatch.setattr(semwalk.baselines, "shortlist", full_sort_nearest)
+        monkeypatch.setattr(semwalk.encoding, "_update_centers", mask_update_centers)
+        monkeypatch.setattr(semwalk.graph, "normalize_transitions", loop_normalize_transitions)
+        monkeypatch.setattr(semwalk.inference, "markov_walk", loop_markov_walk)
+        oracle = run_lopo(ds, tax, AS, method, config)
+        assert [(r.predicted_class, r.distribution) for r in shipped.records] == [
+            (r.predicted_class, r.distribution) for r in oracle.records
+        ]
+        assert shipped.accuracy == oracle.accuracy < 1.0
+
 
 class TestReportFile:
     def test_report_layout(self, small_dataset, tmp_path):

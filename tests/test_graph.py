@@ -352,7 +352,9 @@ class TestTransitions:
             n = int(rng.integers(2, 25))
             nodes = random_nodes(rng, n, int(rng.integers(1, 5)))
             svg = build_svg(nodes, None, VERB, m=int(rng.integers(0, 12)))
-            got = normalize_transitions(svg)
+            A = normalize_transitions(svg)
+            assert A.format == "csc"
+            got = A.tocsr()
             expected = loop_normalize_transitions(svg)
             assert got.shape == expected.shape
             assert np.array_equal(got.indptr, expected.indptr)

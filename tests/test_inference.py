@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -159,6 +161,22 @@ class TestMarkovWalk:
             assert got.tobytes() == want.tobytes()
 
 
+    def test_column_stored_walk_bit_equal_to_row_stored(self):
+        # A.T of the CSC matrix is CSR, of the CSR matrix CSC: both add a
+        # node's incoming mass in ascending source order.
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            g = make_graph(rng.standard_normal((n, 3)), [f"l{i % 4}" for i in range(n)])
+            A = normalize_transitions(g)
+            single = rng.uniform(size=n)
+            block = rng.uniform(size=(n, 5))
+            for q in (single / single.sum(), block / block.sum(axis=0)):
+                for t in (1, 3, 8):
+                    got = markov_walk(A, q, t)
+                    assert got.tobytes() == markov_walk(A.tocsr(), q, t).tobytes()
+
+
 class TestClassDistribution:
     def test_direct_mapping(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "b"])
@@ -245,7 +263,7 @@ class TestClassify:
         config = WalkConfig(z=2, t=2)
         label, dist = classify(g, A, None, VERB, query, config)
 
-        q = embed_query(g, query_distances(g, query), 2)
+        q = embed_query(g, distance(query, g.vector_matrix), 2)
         node_mass = enumerate_walk(dense, q, 2)
         expected = {"a": 0.0, "b": 0.0}
         for i, lab in enumerate(labels):
@@ -299,7 +317,7 @@ class TestClassify:
         query = vec(rng.standard_normal(2))
         label, _ = classify(g, A, None, VERB, query, WalkConfig(z=3, t=2))
         scaled_query = vec(query.values * 1.0)  # same query, scaled metric below
-        d = query_distances(g, scaled_query)
+        d = distance(scaled_query, g.vector_matrix)
         q_base = embed_query(g, d, 3)
         q_scaled = embed_query(g, d * 42.0, 3)
         assert np.allclose(q_base, q_scaled, atol=1e-9)
@@ -319,6 +337,8 @@ def random_walk_case(rng):
 
 class TestBatch:
     def test_query_distances_equal_pairwise_distance(self):
+        # The z nearest nodes and their distances are the first z of a
+        # stable sort of the distances to every node, one node at a time.
         rng = np.random.default_rng(8)
         for dim in (1, 3, 33, 64, 640):
             nodes = [
@@ -327,13 +347,28 @@ class TestBatch:
             ]
             g = edgeless_graph(nodes)
             query = vec(rng.standard_normal(dim))
-            expected = [distance(query, stack([node.vector]))[0] for node in nodes]
-            assert query_distances(g, query).tolist() == expected
+            every = [distance(query, stack([node.vector]))[0] for node in nodes]
+            for z in (1, 4, 19, 20, 25):
+                nearest, dists = query_distances(g, query, z)
+                order = sorted(range(20), key=lambda i: (every[i], i))[:z]
+                assert nearest.tolist() == order
+                assert dists.tolist() == [every[i] for i in order]
 
     def test_query_distances_need_vectors(self):
         g = edgeless_graph([SvgNode(segment_id="s0", annotation="a", vector=None)])
         with pytest.raises(ValueError, match="no vectors"):
-            query_distances(g, vec([0.0]))
+            query_distances(g, vec([0.0]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distance_rejected(self, bad):
+        # A bad node is rejected even when it is not among the z nearest:
+        # no shortlist bound holds then, so every node's distance is checked.
+        g = make_graph([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ["a", "b", "c"])
+        with pytest.raises(ValueError, match="must be finite"):
+            query_distances(g, vec([bad, 0.0]), 1)
+        nodes = [SvgNode("s0", "a", vec([0.0])), SvgNode("s1", "a", vec([bad]))]
+        with pytest.raises(ValueError, match="must be finite"):
+            query_distances(edgeless_graph(nodes), vec([0.0]), 1)
 
     def test_node_stack_is_read_only(self):
         g = make_graph([[0.0, 0.0], [1.0, 2.0]], ["a", "b"])
@@ -365,6 +400,26 @@ class TestBatch:
                 expected.append((argmax_class(dist), dist))
             got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
             assert got == expected
+
+    def test_one_query_builds_no_nodes_by_length_array(self):
+        # 400 nodes of length 640, the classify benchmark's graph.  After a
+        # warm-up call has stacked the nodes and their norms, one query
+        # must stay far below one 400 x 640 array of doubles.
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((401, 640))
+        values /= np.linalg.norm(values, axis=1, keepdims=True)
+        nodes = [SvgNode(f"s{i}", f"l{i % 8}", vec(values[i])) for i in range(400)]
+        g = build_svg(nodes, None, VERB, m=0)
+        A = normalize_transitions(g)
+        query = vec(values[400])
+        warm = classify(g, A, None, VERB, query, WalkConfig())
+        tracemalloc.start()
+        try:
+            assert classify(g, A, None, VERB, query, WalkConfig()) == warm
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 640 * 8 // 8
 
     def test_empty_batch(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "b"])
