@@ -54,6 +54,7 @@ def knn_vote(
     taken only on the rows `encoding.shortlist` keeps; vote ties prefer
     the tied class with the smaller mean neighbor distance, then the
     lexicographically smaller name.  k is clamped to the training size.
+    A distance that is not finite is rejected.
     """
     size = train_vectors.values.shape[0]
     if size == 0:
@@ -66,6 +67,8 @@ def knn_vote(
     rows = shortlist(query, train_vectors, k)
     near = EncodedVector(train_vectors.values[rows], train_vectors.kind)
     dists = distance(query, near)
+    if not np.all(np.isfinite(dists)):
+        raise ValueError("query distances must be finite")
     order = np.argsort(dists, kind="stable")[:k]
     votes: dict[str, int] = {}
     dist_sums: dict[str, float] = {}

@@ -12,16 +12,19 @@ Both trainers are seeded and single-threaded, so a fixed seed produces
 bit-identical models and encodings on one platform.  Trained models are
 immutable; encoding different videos in parallel is safe.
 
-Memory: training and Fisher encoding share one E-step (`_e_step`),
-whose Gaussian log-densities come from the expanded Mahalanobis form,
-two points x dim @ dim x components products on data centred once per
-fit or video (`_centred`), so the largest EM temporaries are
-points x dim or points x components; its log-normalizer is scipy's
-logsumexp algorithm in plain numpy (`_logsumexp_rows`).  Fisher
-gradients come from the responsibilities' sufficient statistics (S0,
-S1, S2), components x dim each.  k-means builds one points x centers
-array per fit and reuses it, and each center update sorts the pool by
-label once.
+Memory: training and Fisher encoding share one E-step (`_e_step`)
+laid out components x points, so every reduction over the components
+runs along contiguous rows of points.  Its Gaussian log-densities come
+from the expanded Mahalanobis form, two components x dim @ dim x points
+products on data centred once per fit or video and stored transposed,
+dim x points (`_centred`), so the largest EM temporaries are
+points x dim or components x points; its log-normalizer is scipy's
+logsumexp algorithm in plain numpy, reduced over the components axis
+(`_logsumexp_columns`).  The M-step and the Fisher gradients take the
+responsibilities' sufficient statistics (S0, S1, S2), components x dim
+each, as products of the same components x points array.  k-means
+builds one points x centers array per fit and reuses it, and each
+center update sorts the pool by label once.
 
 Nearest neighbors: `distance` compares one encoding with every row of
 a stack.  `shortlist` bounds the rows that can be among the k nearest
@@ -277,32 +280,34 @@ _Centred = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _centred(points: np.ndarray) -> _Centred:
-    """The points' mean, the points shifted by it, and their squares:
-    the form the E-step takes, prepared once per set of points."""
+    """The points' mean, and the points shifted by it and their squares,
+    each stored transposed as a contiguous dim x points array: the form
+    the E-step takes, prepared once per set of points."""
     centre = points.mean(axis=0)
-    x = points - centre
-    return centre, x, x * x
+    xt = np.subtract(points.T, centre[:, None], order="C")
+    return centre, xt, xt * xt
 
 
 def _log_gaussians(
     centred: _Centred, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
-    """log N(x | mean_k, diag var_k) for every point/component pair.
+    """log N(x | mean_k, diag var_k) for every component/point pair, as a
+    components x points array.
 
     The points come `_centred`.  The Mahalanobis term is expanded as
-    x^2.P - 2x.(mean P) + mean^2.P with P = 1/var, two matrix products
+    P.x^2 - (2 mean P).x + mean^2.P with P = 1/var, two matrix products
     with no points x components x dim array.  Points and means are
     shifted by the points' mean, which leaves the term unchanged and
     keeps the expansion's cancellation bounded when the data sit far
     from the origin.
     """
-    centre, x, x_sq = centred
+    centre, xt, xt_sq = centred
     mu = means - centre
     precision = 1.0 / variances
     log_det = np.sum(np.log(2.0 * np.pi * variances), axis=1)
-    out = x_sq @ precision.T
-    out -= x @ (2.0 * mu * precision).T
-    out += np.sum(mu * mu * precision, axis=1) + log_det
+    out = precision @ xt_sq
+    out -= (2.0 * mu * precision) @ xt
+    out += (np.sum(mu * mu * precision, axis=1) + log_det)[:, None]
     out *= -0.5
     return out
 
@@ -313,39 +318,41 @@ def _e_step(
     means: np.ndarray,
     variances: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities (rows sum to 1) and per-point log-likelihoods.
+    """Responsibilities, components x points (columns sum to 1), and
+    per-point log-likelihoods.
 
     The one E-step shared by EM training and Fisher encoding, on
-    `_centred` points; the log-likelihoods come back as an n x 1 column.
+    `_centred` points; the log-likelihoods come back as a 1 x points row.
     """
     log_joint = _log_gaussians(centred, means, variances)
-    log_joint += np.log(weights)
-    log_norm = _logsumexp_rows(log_joint)
+    log_joint += np.log(weights)[:, None]
+    log_norm = _logsumexp_columns(log_joint)
     log_joint -= log_norm
     return np.exp(log_joint, out=log_joint), log_norm
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) as an n x 1 column.
+def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=0)) as a 1 x columns row.
 
     The algorithm of `scipy.special.logsumexp` (scipy >= 1.15) without
-    its array-API dispatch, so the bits are the same: the row maxima
+    its array-API dispatch, so the bits are the same: the column maxima
     are taken out of the sum, counted as m, and added back as
     log1p(s / m) + log(m) + max.
     """
-    a_max = np.max(a, axis=1, keepdims=True)
+    a_max = np.max(a, axis=0, keepdims=True)
     is_max = a == a_max
     shifted = np.subtract(a, a_max)
     np.exp(shifted, out=shifted)
     shifted[is_max] = 0.0
-    s = np.sum(shifted, axis=1, keepdims=True)
-    m = np.count_nonzero(is_max, axis=1, keepdims=True).astype(np.float64)
+    s = np.sum(shifted, axis=0, keepdims=True)
+    m = np.count_nonzero(is_max, axis=0, keepdims=True).astype(np.float64)
     return np.log1p(s / m) + np.log(m) + a_max
 
 
 def gmm_posteriors(gmm: GmmModel, points: np.ndarray) -> np.ndarray:
-    """Component responsibilities for each point (rows sum to 1)."""
-    return _e_step(_centred(points), gmm.weights, gmm.means, gmm.variances)[0]
+    """Component responsibilities for each point, points x components
+    (rows sum to 1)."""
+    return _e_step(_centred(points), gmm.weights, gmm.means, gmm.variances)[0].T
 
 
 def train_gmm(
@@ -385,11 +392,11 @@ def train_gmm(
     for _ in range(max_iters):
         resp, log_norm = _e_step(centred, weights, means, variances)
         history.append(float(log_norm.mean()))
-        counts = resp.sum(axis=0)
+        counts = resp.sum(axis=1)
         safe = np.maximum(counts, 1e-300)
         weights = counts / n
-        means = (resp.T @ pool) / safe[:, None]
-        second = (resp.T @ pool_sq) / safe[:, None]
+        means = (resp @ pool) / safe[:, None]
+        second = (resp @ pool_sq) / safe[:, None]
         variances = np.maximum(second - means**2, floor)
         if weights.min() <= 0.0:
             # A starved component would break the simplex invariant;
@@ -428,12 +435,12 @@ def fisher_gradients(
         )
     t = descriptors.shape[0]
     centred = _centred(descriptors)
-    centre, x, x_sq = centred
+    centre, xt, xt_sq = centred
     resp = _e_step(centred, gmm.weights, gmm.means, gmm.variances)[0]
     mu = gmm.means - centre
-    s0 = resp.sum(axis=0)[:, None]
-    s1 = resp.T @ x
-    s2 = resp.T @ x_sq
+    s0 = resp.sum(axis=1)[:, None]
+    s1 = resp @ xt.T
+    s2 = resp @ xt_sq.T
     root_w = np.sqrt(gmm.weights)[:, None]
     grad_means = (s1 - s0 * mu) / np.sqrt(gmm.variances) / (t * root_w)
     grad_vars = ((s2 - 2.0 * mu * s1 + s0 * mu**2) / gmm.variances - s0) / (

@@ -101,6 +101,16 @@ class TestKnn:
         query = vec(rng.standard_normal(2) * 0.2 + 8.0)
         assert knn_vote(stack(train), labels, query, 5)[0] == "high"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distance_rejected(self, bad):
+        # A bad training row is rejected even when it is not among the k
+        # nearest: no shortlist bound holds then, so every row is checked.
+        with pytest.raises(ValueError, match="must be finite"):
+            knn_vote(stack(self.vectors), self.labels, vec([bad, 0.0]), 1)
+        vectors = self.vectors + [vec([bad, 0.0])]
+        with pytest.raises(ValueError, match="must be finite"):
+            knn_vote(stack(vectors), self.labels + ["C"], vec([0.0, 0.0]), 1)
+
     def test_empty_training(self):
         with pytest.raises(ValueError, match="empty"):
             knn_vote(vec(np.empty((0, 1))), [], vec([0.0]), 1)

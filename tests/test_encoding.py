@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy
@@ -29,13 +31,12 @@ from semwalk.encoding import (
 
 from _oracles import (
     broadcast_log_gaussians,
-    centred_broadcast_log_gaussians,
     einsum_fisher_gradients,
     expanded_squared_distances,
     full_sort_nearest,
     mask_update_centers,
 )
-from conftest import vec
+from conftest import components_major_broadcast, expanded_distances_from_terms, vec
 
 
 def two_clusters(rng, n_per=50, dim=3, gap=20.0, noise=0.5):
@@ -149,14 +150,7 @@ class TestKmeansKernel:
     def test_training_bit_equal_to_expanded_form(self, monkeypatch):
         pool = np.random.default_rng(12).standard_normal((400, 6)) * 3.0
         fast = train_kmeans(pool, 12, seed=4)
-        monkeypatch.setattr(
-            encoding,
-            "_squared_distances",
-            # Halving 2x is exact, so this recovers the points themselves.
-            lambda terms, centers, out=None: expanded_squared_distances(
-                terms[0] / 2.0, centers
-            ),
-        )
+        monkeypatch.setattr(encoding, "_squared_distances", expanded_distances_from_terms)
         slow = train_kmeans(pool, 12, seed=4)
         assert np.array_equal(fast.centers, slow.centers)
         assert fast.inertia_history == slow.inertia_history
@@ -303,15 +297,15 @@ class TestLogGaussians:
         means = rng.standard_normal((k, dim)) + offset
         variances = rng.random((k, dim)) + 0.05
         got = encoding._log_gaussians(encoding._centred(points), means, variances)
-        assert got.shape == (n, k)
+        assert got.shape == (k, n)
         np.testing.assert_allclose(
-            got, broadcast_log_gaussians(points, means, variances), rtol=1e-12, atol=0
+            got.T, broadcast_log_gaussians(points, means, variances), rtol=1e-12, atol=0
         )
 
     def test_training_bit_equal_to_broadcast(self, monkeypatch):
         pool = np.random.default_rng(31).standard_normal((700, 8)) * 2.0
         fast = train_gmm(pool, 5, seed=2, max_iters=40)
-        monkeypatch.setattr(encoding, "_log_gaussians", centred_broadcast_log_gaussians)
+        monkeypatch.setattr(encoding, "_log_gaussians", components_major_broadcast)
         slow = train_gmm(pool, 5, seed=2, max_iters=40)
         assert len(fast.log_likelihood_history) == len(slow.log_likelihood_history)
         for got, want in (
@@ -343,13 +337,13 @@ class TestLogGaussians:
                 variances=variances,
                 log_likelihood_history=[],
             )
-            assert np.array_equal(gmm_posteriors(gmm, pool), resp)
+            assert np.array_equal(gmm_posteriors(gmm, pool), resp.T)
 
 
 def _scipy_log_norm(points, weights, means, variances):
     log_joint = encoding._log_gaussians(encoding._centred(points), means, variances)
-    log_joint += np.log(weights)
-    return logsumexp(log_joint, axis=1, keepdims=True)
+    log_joint += np.log(weights)[:, None]
+    return logsumexp(log_joint, axis=0, keepdims=True)
 
 
 @pytest.mark.skipif(
@@ -364,7 +358,7 @@ class TestLogNormalizer:
             encoding._centred(points), weights, means, variances
         )
         want = _scipy_log_norm(points, weights, means, variances)
-        assert log_norm.shape == want.shape == (points.shape[0], 1)
+        assert log_norm.shape == want.shape == (1, points.shape[0])
         assert log_norm.tobytes() == want.tobytes()
 
     def test_random_mixture(self):
@@ -385,7 +379,7 @@ class TestLogNormalizer:
         points = rng.standard_normal((50, 3))
         points[:5] = 0.0
         log_joint = encoding._log_gaussians(encoding._centred(points), means, variances)
-        tied = np.sum(log_joint == log_joint.max(axis=1, keepdims=True), axis=1) > 1
+        tied = np.sum(log_joint == log_joint.max(axis=0, keepdims=True), axis=0) > 1
         assert tied.sum() >= 5
         self._check(points, np.full(4, 0.25), means, variances)
 
@@ -413,10 +407,42 @@ class TestLogNormalizer:
             elements=st.floats(-800.0, 50.0).map(lambda v: round(v, 1)),
         )
     )
-    def test_rows_bit_equal_to_scipy(self, a):
-        # Rounded elements make exact ties within a row common.
-        want = logsumexp(a, axis=1, keepdims=True)
-        assert encoding._logsumexp_rows(a).tobytes() == want.tobytes()
+    def test_columns_bit_equal_to_scipy(self, a):
+        # Rounded elements make exact ties within a column common.
+        want = logsumexp(a, axis=0, keepdims=True)
+        assert encoding._logsumexp_columns(a).tobytes() == want.tobytes()
+
+
+class TestEStepMemory:
+    """EM and Fisher encoding peak below a small multiple of
+    points x max(dim, components) doubles: the E-step holds no
+    points x components x dim temporary, which a broadcast kernel needs."""
+
+    n, dim, k = 3000, 32, 10
+    bound = 8.0
+
+    def _peaks(self):
+        pool = np.random.default_rng(50).standard_normal((self.n, self.dim))
+        gmm = train_gmm(pool, self.k, seed=0, max_iters=5)
+        peaks = []
+        for run in (
+            lambda: train_gmm(pool, self.k, seed=0, max_iters=5),
+            lambda: encode_fisher(gmm, pool),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return [peak / (self.n * max(self.dim, self.k) * 8) for peak in peaks]
+
+    def test_peaks_below_the_bound(self):
+        assert max(self._peaks()) < self.bound
+
+    def test_broadcast_kernel_exceeds_the_bound(self, monkeypatch):
+        monkeypatch.setattr(encoding, "_log_gaussians", components_major_broadcast)
+        assert min(self._peaks()) > self.bound
 
 
 class TestFisher:

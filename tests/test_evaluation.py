@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import semwalk.baselines
+import semwalk.dataset
 import semwalk.encoding
 import semwalk.evaluation
 import semwalk.graph
 import semwalk.inference
-from semwalk.dataset import parse_manifest, read_descriptor_file
+from semwalk.dataset import DescriptorSet, parse_manifest, read_descriptor_file
 from semwalk.evaluation import (
     EvalConfig,
     SyntheticSpec,
@@ -21,13 +22,14 @@ from semwalk.evaluation import (
 from semwalk.semantics import AH, AM, AS, parse_taxonomy, semantic_classes
 
 from _oracles import (
-    centred_broadcast_log_gaussians,
     einsum_fisher_gradients,
     full_sort_nearest,
     loop_markov_walk,
     loop_normalize_transitions,
+    loop_read_descriptor_file,
     mask_update_centers,
 )
+from conftest import components_major_broadcast, expanded_distances_from_terms
 
 SMALL_SPEC = SyntheticSpec(
     clusters=3,
@@ -419,9 +421,7 @@ class TestFisherKernels:
         ds, tax = noisy_dataset
         config = EvalConfig(encoding="fv", gamma=6)
         fast = run_lopo(ds, tax, AS, method, config)
-        monkeypatch.setattr(
-            semwalk.encoding, "_log_gaussians", centred_broadcast_log_gaussians
-        )
+        monkeypatch.setattr(semwalk.encoding, "_log_gaussians", components_major_broadcast)
         monkeypatch.setattr(semwalk.encoding, "fisher_gradients", einsum_fisher_gradients)
         slow = run_lopo(ds, tax, AS, method, config)
         assert [r.predicted_class for r in fast.records] == [
@@ -440,16 +440,27 @@ class TestOracleKernels:
         manifest_path, taxonomy_path = gen_synthetic(
             SyntheticSpec(sigma=10.0, seed=request.param), out
         )
-        return parse_manifest(manifest_path), parse_taxonomy(taxonomy_path)
+        return manifest_path, parse_manifest(manifest_path), parse_taxonomy(taxonomy_path)
 
     @pytest.mark.parametrize("encoding_name,gamma", [("bow", 16), ("fv", 6)])
     @pytest.mark.parametrize("method", ["knn", "sembed"])
     def test_same_records_under_the_oracle_kernels(
         self, noisy_dataset, monkeypatch, method, encoding_name, gamma
     ):
-        ds, tax = noisy_dataset
+        manifest_path, ds, tax = noisy_dataset
         config = EvalConfig(encoding=encoding_name, gamma=gamma)
         shipped = run_lopo(ds, tax, AS, method, config)
+        read = []
+
+        def loop_reader(path):
+            read.append(path)
+            return DescriptorSet(values=loop_read_descriptor_file(path))
+
+        monkeypatch.setattr(semwalk.dataset, "read_descriptor_file", loop_reader)
+        # A fresh parse has an empty descriptor cache, so the loop reader
+        # loads every descriptor the oracle run uses.
+        ds = parse_manifest(manifest_path)
+        monkeypatch.setattr(semwalk.encoding, "_squared_distances", expanded_distances_from_terms)
         monkeypatch.setattr(semwalk.inference, "shortlist", full_sort_nearest)
         monkeypatch.setattr(semwalk.baselines, "shortlist", full_sort_nearest)
         monkeypatch.setattr(semwalk.encoding, "_update_centers", mask_update_centers)
@@ -460,6 +471,7 @@ class TestOracleKernels:
             (r.predicted_class, r.distribution) for r in oracle.records
         ]
         assert shipped.accuracy == oracle.accuracy < 1.0
+        assert len(read) == len(ds)
 
 
 class TestReportFile:
