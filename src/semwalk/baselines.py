@@ -107,13 +107,16 @@ def train_weighted_linear(
     one subgradient step per sample per class scorer, scaling the hinge
     subgradient by the sample's class weight, and shrinks every scorer
     by the fixed L2 factor `REG` (the encoded inputs are already
-    normalized by construction).  Deterministic for a fixed seed.
+    normalized by construction).  Deterministic for a fixed seed.  A
+    training vector that is not finite is rejected.
     """
     x = train_vectors.values
     if x.shape[0] != len(train_labels):
         raise ValueError("vectors and labels differ in length")
     if not train_labels:
         raise ValueError("empty training set")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("training vectors must be finite")
     classes = tuple(sorted(set(train_labels)))
     dim = x.shape[1]
     w = np.zeros((len(classes), dim))
@@ -143,6 +146,11 @@ def train_weighted_linear(
 
 
 def predict_linear(model: LinearModel, query: EncodedVector) -> str:
-    """Argmax class score; ties go to the lexicographically first class."""
+    """Argmax class score; ties go to the lexicographically first class.
+
+    A query vector that is not finite is rejected.
+    """
+    if not np.all(np.isfinite(query.values)):
+        raise ValueError("query vector must be finite")
     scores = model.weights @ query.values + model.biases
     return model.classes[int(np.argmax(scores))]

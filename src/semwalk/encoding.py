@@ -20,11 +20,12 @@ products on data centred once per fit or video and stored transposed,
 dim x points (`_centred`), so the largest EM temporaries are
 points x dim or components x points; its log-normalizer is scipy's
 logsumexp algorithm in plain numpy, reduced over the components axis
-(`_logsumexp_columns`).  The M-step and the Fisher gradients take the
-responsibilities' sufficient statistics (S0, S1, S2), components x dim
-each, as products of the same components x points array.  k-means
-builds one points x centers array per fit and reuses it, and each
-center update sorts the pool by label once.
+(`_logsumexp_columns`).  Every mixture statistic reads `_centred`
+points only: the M-step, the variance floor and the Fisher gradients
+take the sufficient statistics (S0, S1, S2) from one `_statistics`, so
+mixtures and Fisher vectors do not change when descriptors are shifted.
+k-means builds one points x centers array per fit and reuses it, and
+each center update sorts the pool by label once.
 
 Nearest neighbors: `distance` compares one encoding with every row of
 a stack.  `shortlist` bounds the rows that can be among the k nearest
@@ -271,11 +272,6 @@ def encode_bow(codebook: Codebook, descriptors: np.ndarray) -> EncodedVector:
     return EncodedVector(values=hist / hist.sum(), kind=BOW)
 
 
-def _variance_floor(pool: np.ndarray) -> np.ndarray:
-    """Per-dimension EM variance floor: 1e-6 * pool variance, min 1e-12."""
-    return np.maximum(1e-6 * pool.var(axis=0), 1e-12)
-
-
 _Centred = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -349,6 +345,13 @@ def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
     return np.log1p(s / m) + np.log(m) + a_max
 
 
+def _statistics(resp: np.ndarray, centred: _Centred) -> tuple[np.ndarray, ...]:
+    """S0 = sum g (components x 1), S1 = sum g x and S2 = sum g x^2
+    (components x dim) of components x points `resp` on `_centred` points."""
+    _, xt, xt_sq = centred
+    return resp.sum(axis=1)[:, None], resp @ xt.T, resp @ xt_sq.T
+
+
 def gmm_posteriors(gmm: GmmModel, points: np.ndarray) -> np.ndarray:
     """Component responsibilities for each point, points x components
     (rows sum to 1)."""
@@ -365,11 +368,11 @@ def train_gmm(
     """Fit a diagonal-covariance mixture by EM.
 
     Means initialize from an internal k-means run, weights start
-    uniform and variances start at the pooled per-dimension variance.
+    uniform and variances start at the pool's per-dimension spread.
     Iterations stop when the per-point average log-likelihood improves
     by less than `tol`, or at `max_iters`.  Variances are floored every
-    step to keep components from collapsing onto duplicate points.  The
-    pool is centred once, for every E-step of the fit.
+    step at 1e-6 times that spread (min 1e-12) against collapse onto
+    duplicate points.  Every statistic is read from the pool centred once.
     """
     pool = np.asarray(pool, dtype=np.float64)
     n = pool.shape[0]
@@ -377,27 +380,27 @@ def train_gmm(
         raise ValueError(f"component count must be >= 1, got {components}")
     if components > n:
         raise ValueError(f"component count {components} exceeds pool size {n}")
-    floor = _variance_floor(pool)
+    centre, _, xt_sq = centred = _centred(pool)
+    spread = xt_sq.mean(axis=1)
+    floor = np.maximum(1e-6 * spread, 1e-12)
     means = (
-        pool.mean(axis=0, keepdims=True).copy()
+        centre[None, :]
         if components == 1
-        else train_kmeans(pool, components, seed, max_iters=50).centers.copy()
+        else train_kmeans(pool, components, seed, max_iters=50).centers
     )
     weights = np.full(components, 1.0 / components)
-    variances = np.tile(np.maximum(pool.var(axis=0), floor), (components, 1))
-    pool_sq = pool**2
-    centred = _centred(pool)
+    variances = np.tile(np.maximum(spread, floor), (components, 1))
     history: list[float] = []
     converged = False
     for _ in range(max_iters):
         resp, log_norm = _e_step(centred, weights, means, variances)
         history.append(float(log_norm.mean()))
-        counts = resp.sum(axis=1)
-        safe = np.maximum(counts, 1e-300)
-        weights = counts / n
-        means = (resp @ pool) / safe[:, None]
-        second = (resp @ pool_sq) / safe[:, None]
-        variances = np.maximum(second - means**2, floor)
+        s0, s1, s2 = _statistics(resp, centred)
+        weights = s0[:, 0] / n
+        safe = np.maximum(s0, 1e-300)
+        shift = s1 / safe
+        means = centre + shift
+        variances = np.maximum(s2 / safe - shift**2, floor)
         if weights.min() <= 0.0:
             # A starved component would break the simplex invariant;
             # renormalize away from exact zero.
@@ -435,12 +438,9 @@ def fisher_gradients(
         )
     t = descriptors.shape[0]
     centred = _centred(descriptors)
-    centre, xt, xt_sq = centred
     resp = _e_step(centred, gmm.weights, gmm.means, gmm.variances)[0]
-    mu = gmm.means - centre
-    s0 = resp.sum(axis=1)[:, None]
-    s1 = resp @ xt.T
-    s2 = resp @ xt_sq.T
+    s0, s1, s2 = _statistics(resp, centred)
+    mu = gmm.means - centred[0]
     root_w = np.sqrt(gmm.weights)[:, None]
     grad_means = (s1 - s0 * mu) / np.sqrt(gmm.variances) / (t * root_w)
     grad_vars = ((s2 - 2.0 * mu * s1 + s0 * mu**2) / gmm.variances - s0) / (

@@ -57,8 +57,11 @@ def embed_query(
     The z smallest distances pick the neighbor set (ties to the lowest
     node index, z clamped to the node count), the nodes where q is
     positive; their mass is the same reciprocal normalization the
-    transition matrix uses, over epsilon-floored distances.
+    transition matrix uses, over epsilon-floored distances.  z must be
+    >= 1, as in `WalkConfig`.
     """
+    if z < 1:
+        raise ValueError(f"z must be >= 1, got {z}")
     distances_to_nodes = np.asarray(distances_to_nodes, dtype=np.float64)
     n = distances_to_nodes.shape[0]
     if n == 0:
@@ -114,9 +117,16 @@ def class_distribution(
     `node_dists` is an n x k block of node distributions, one per
     column; the result is their k class distributions.  Every class in
     the partition appears in each (possibly with zero mass), and its
-    probabilities sum to one when the column does.
+    probabilities sum to one when the column does.  A block of any other
+    shape is rejected.
     """
     node_dists = np.asarray(node_dists, dtype=np.float64)
+    n = len(graph.nodes)
+    if node_dists.ndim != 2 or node_dists.shape[0] != n:
+        raise ValueError(
+            f"node distributions must be a nodes x k = {n} x k block, "
+            f"got shape {node_dists.shape}"
+        )
     mapping = semantics.class_map(classes)
     names = [component[0] for component in classes]
     position = {name: c for c, name in enumerate(names)}

@@ -43,6 +43,35 @@ def brute_force_edges(distances, is_related, m):
     return semantic, visual
 
 
+def loop_rank_global(distances, related_pair):
+    """`graph.rank_global` pair by pair, by `brute_force_edges`' rule:
+    every unrelated (i, j) with i < j, sorted by (distance, i, j), as an
+    E x 2 intp array."""
+    n = distances.shape[0]
+    unrelated = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not related_pair[i, j]:
+                unrelated.append((distances[i, j], i, j))
+    unrelated.sort()
+    return np.array([(i, j) for _, i, j in unrelated], dtype=np.intp).reshape(-1, 2)
+
+
+def loop_rank_local(distances, related_pair):
+    """`graph.rank_local` node by node, by `brute_force_edges`' rule: the
+    first unrelated partner at the smallest distance, or -1 when a node
+    has none."""
+    n = distances.shape[0]
+    partner = np.full(n, -1, dtype=np.intp)
+    for i in range(n):
+        for j in range(n):
+            if j == i or related_pair[i, j]:
+                continue
+            if partner[i] < 0 or distances[i, j] < distances[i, partner[i]]:
+                partner[i] = j
+    return partner
+
+
 def loop_normalize_transitions(graph):
     """Transition matrix by sorted loops over the directed edges, edge by
     edge, each undirected pair taken in both directions.

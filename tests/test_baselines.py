@@ -183,6 +183,20 @@ class TestWeightedLinear:
         # Zero model scores everything 0: tie broken to "A".
         assert predict_linear(model_cls, vec([3.0, 3.0])) == "A"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        # Without the check, a NaN query scores NaN everywhere and argmax
+        # answers the first class; a NaN training row trains silently.
+        points = [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]]
+        labels = ["a", "a", "b", "b"]
+        weights = {"a": 1.0, "b": 1.0}
+        model = train_weighted_linear(stack([vec(p) for p in points]), labels, weights)
+        with pytest.raises(ValueError, match="query vector must be finite"):
+            predict_linear(model, vec([bad, 0.0]))
+        points[2] = [10.0, bad]
+        with pytest.raises(ValueError, match="training vectors must be finite"):
+            train_weighted_linear(stack([vec(p) for p in points]), labels, weights)
+
     def test_weight_relabeling_invariance(self):
         priors = {"A": 0.5, "B": 0.25, "C": 0.25}
         w = class_weights(priors, 0.7)

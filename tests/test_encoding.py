@@ -246,6 +246,23 @@ class TestGmm:
         floor = np.maximum(1e-6 * pool.var(axis=0), 1e-12)
         assert np.all(gmm.variances >= floor - 1e-15)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e5])
+    def test_fit_and_fisher_vector_shift_with_the_data(self, offset):
+        # Two tight clusters (sigma 0.01, 0.1 apart) moved far from the
+        # origin: second moments of the raw points would cancel to noise
+        # there, so every mixture statistic must come from centred points.
+        rng = np.random.default_rng(0)
+        pool = rng.normal(0.0, 0.01, size=(3000, 8))
+        pool[1500:, 0] += 0.1
+        video = pool[rng.choice(3000, 50, replace=False)]
+        base = train_gmm(pool, 2, seed=0, max_iters=30)
+        gmm = train_gmm(pool + offset, 2, seed=0, max_iters=30)
+        assert np.allclose(gmm.weights, base.weights, rtol=0, atol=1e-9)
+        assert np.allclose(gmm.means - offset, base.means, rtol=0, atol=1e-9)
+        assert np.allclose(gmm.variances, base.variances, rtol=1e-6, atol=0)
+        shifted = encode_fisher(gmm, video + offset).values
+        assert np.allclose(shifted, encode_fisher(base, video).values, rtol=0, atol=1e-8)
+
     def test_component_count_exceeds_pool(self):
         with pytest.raises(ValueError, match="exceeds pool size"):
             train_gmm(np.ones((2, 2)), 3, seed=0)

@@ -26,6 +26,8 @@ from _oracles import (
     full_sort_nearest,
     loop_markov_walk,
     loop_normalize_transitions,
+    loop_rank_global,
+    loop_rank_local,
     loop_read_descriptor_file,
     mask_update_centers,
 )
@@ -464,6 +466,8 @@ class TestOracleKernels:
         monkeypatch.setattr(semwalk.inference, "shortlist", full_sort_nearest)
         monkeypatch.setattr(semwalk.baselines, "shortlist", full_sort_nearest)
         monkeypatch.setattr(semwalk.encoding, "_update_centers", mask_update_centers)
+        monkeypatch.setattr(semwalk.graph, "rank_global", loop_rank_global)
+        monkeypatch.setattr(semwalk.graph, "rank_local", loop_rank_local)
         monkeypatch.setattr(semwalk.graph, "normalize_transitions", loop_normalize_transitions)
         monkeypatch.setattr(semwalk.inference, "markov_walk", loop_markov_walk)
         oracle = run_lopo(ds, tax, AS, method, config)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,14 @@ class TestEmbedQuery:
         g = self._graph(2)
         with pytest.raises(ValueError, match="empty"):
             embed_query(g, np.array([]), z=1)
+
+    @pytest.mark.parametrize("z", [0, -1])
+    def test_z_below_one_rejected_as_walk_config_does(self, z):
+        g = self._graph(3)
+        with pytest.raises(ValueError, match=rf"^z must be >= 1, got {z}$"):
+            embed_query(g, np.array([1.0, 2.0, 3.0]), z=z)
+        with pytest.raises(ValueError, match=rf"^z must be >= 1, got {z}$"):
+            WalkConfig(z=z)
 
 
 class TestMarkovWalk:
@@ -233,6 +242,24 @@ class TestClassDistribution:
             class_distribution(block[:, 1:], g, classes)[0],
         ]
         assert list(dists[1]) == ["a", "b", "c"] and dists[1]["c"] == 0.0
+
+    @pytest.mark.parametrize(
+        "node_dists",
+        [
+            np.array([0.5, 0.3, 0.2]),
+            np.full((2, 1), 0.5),
+            np.full((4, 2), 0.25),
+            np.ones((3, 1, 1)),
+        ],
+    )
+    def test_block_of_another_shape_rejected(self, node_dists):
+        # A 1-D walk result (one start vector) or a wrong node count is
+        # named as such, not left to bincount.
+        g = make_graph([[float(i), 0.0] for i in range(3)], ["a", "b", "a"])
+        classes = semantic_classes(None, {"a", "b"}, VERB)
+        shape = re.escape(str(node_dists.shape))
+        with pytest.raises(ValueError, match=rf"nodes x k = 3 x k block, got shape {shape}"):
+            class_distribution(node_dists, g, classes)
 
     def test_argmax_tie_breaks_lexicographically(self):
         assert argmax_class({"b": 0.5, "a": 0.5}) == "a"
