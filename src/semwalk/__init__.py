@@ -25,6 +25,7 @@ from .encoding import (
     encode,
     encode_bow,
     encode_fisher,
+    encode_many,
     load_model,
     save_model,
     subsample,

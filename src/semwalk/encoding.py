@@ -25,7 +25,13 @@ points only: the M-step, the variance floor and the Fisher gradients
 take the sufficient statistics (S0, S1, S2) from one `_statistics`, so
 mixtures and Fisher vectors do not change when descriptors are shifted.
 k-means builds one points x centers array per fit and reuses it, and
-each center update sorts the pool by label once.
+each center update takes every cluster's sums from one `np.bincount`
+over (label, dimension) bins.  Bag-of-words encoding (`encode_many`)
+stacks videos of equal row count into videos x rows x dim blocks of at
+most `_BLOCK_ROWS` rows, so its largest temporary, the block's
+videos x rows x centers distances, is no larger than the points x
+centers array of a fit on that many points; `np.matmul` takes one
+product per video of a block, so each video gets the bits it gets alone.
 
 Nearest neighbors: `distance` compares one encoding with every row of
 a stack.  `shortlist` bounds the rows that can be among the k nearest
@@ -138,8 +144,20 @@ def subsample(
         raise ValueError("no descriptor sets to subsample")
     rng = np.random.default_rng(seed)
     picked = []
-    for values in descriptor_sets:
+    dim = None
+    for index, values in enumerate(descriptor_sets):
         values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2:
+            raise ValueError(
+                f"descriptor set {index} must be a 2-D rows x dim matrix, "
+                f"got shape {values.shape}"
+            )
+        if dim is None:
+            dim = values.shape[1]
+        elif values.shape[1] != dim:
+            raise ValueError(
+                f"descriptor set {index} has dim {values.shape[1]}, set 0 has {dim}"
+            )
         count = math.ceil(fraction * values.shape[0])
         idx = rng.choice(values.shape[0], size=count, replace=False)
         picked.append(values[np.sort(idx)])
@@ -147,8 +165,9 @@ def subsample(
 
 
 def _point_terms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The per-point factors of `_squared_distances`: 2x and |x|^2."""
-    return 2.0 * points, np.sum(points**2, axis=1)[:, None]
+    """The per-point factors of `_squared_distances`: 2x and |x|^2, of a
+    points x dim matrix or a stack of them."""
+    return 2.0 * points, np.sum(points**2, axis=-1)[..., None]
 
 
 def _squared_distances(
@@ -156,16 +175,18 @@ def _squared_distances(
     centers: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pairwise squared Euclidean distances, points x centers.
+    """Pairwise squared Euclidean distances, points x centers, or
+    videos x points x centers for a stack of point matrices.
 
     |x|^2 - 2x.c + |c|^2, clipped at 0, from the points' `_point_terms`
     (taken once by callers that compare one pool against many centers),
-    built in one points x centers array, `out` if given.
+    built in one points x centers array, `out` if given.  A stack gets
+    one matrix product per matrix, so each gets the bits it gets alone.
     """
     twice, norms = terms
     sq = np.matmul(twice, centers.T, out=out)
     np.subtract(norms, sq, out=sq)
-    np.add(sq, np.sum(centers**2, axis=1), out=sq)
+    np.add(sq, np.sum(centers**2, axis=-1), out=sq)
     return np.maximum(sq, 0.0, out=sq)
 
 
@@ -197,6 +218,17 @@ def _kmeans_pp_init(
     return centers
 
 
+def _checked_pool(pool: np.ndarray) -> np.ndarray:
+    """A training pool as a finite float64 points x dim matrix, or a
+    ValueError."""
+    pool = np.asarray(pool, dtype=np.float64)
+    if pool.ndim != 2:
+        raise ValueError("pool must be a 2-D matrix of descriptors")
+    if not np.isfinite(pool).all():
+        raise ValueError("pool must be finite (no NaN or inf values)")
+    return pool
+
+
 def train_kmeans(
     pool: np.ndarray, size: int, seed: int, max_iters: int = 100
 ) -> Codebook:
@@ -205,9 +237,7 @@ def train_kmeans(
     Stops when the hard assignments are stable or after `max_iters`.
     The recorded inertia sequence is non-increasing.
     """
-    pool = np.asarray(pool, dtype=np.float64)
-    if pool.ndim != 2:
-        raise ValueError("pool must be a 2-D matrix of descriptors")
+    pool = _checked_pool(pool)
     n = pool.shape[0]
     if size < 1:
         raise ValueError(f"codebook size must be >= 1, got {size}")
@@ -223,13 +253,14 @@ def train_kmeans(
     terms = _point_terms(pool)
     centers = _kmeans_pp_init(pool, size, rng, terms)
     sq = np.empty((n, size))
+    rows = np.arange(n)
     inertia_history: list[float] = []
     labels = None
     converged = False
     for _ in range(max_iters):
         sq = _squared_distances(terms, centers, out=sq)
         new_labels = np.argmin(sq, axis=1)
-        inertia_history.append(float(sq[np.arange(n), new_labels].sum()))
+        inertia_history.append(float(sq[rows, new_labels].sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             converged = True
             break
@@ -243,16 +274,72 @@ def train_kmeans(
 def _update_centers(pool: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
     """Move each center to the mean of the points labelled with it, in place.
 
-    One stable sort by label makes each cluster's members, in pool
-    order, a contiguous slice: the rows a mask per center would pick,
-    so the same means.  An empty cluster keeps its previous center;
-    inertia is unaffected since no point is assigned to it.
+    One weighted `np.bincount` over the flat (label, dimension) bins sums
+    every cluster's members in pool order, and each sum is divided by
+    its member count.  For dim >= 2 that is numpy's `mean(axis=0)` of
+    the members bit for bit, which adds rows in order too; at dim 1
+    numpy sums pairwise, so the means differ from it in the last bits.
+    An empty cluster keeps its previous center; inertia is unaffected
+    since no point is assigned to it.
     """
-    order = np.argsort(labels, kind="stable")
-    members = pool[order]
-    bounds = np.searchsorted(labels[order], np.arange(centers.shape[0] + 1))
-    for j in np.flatnonzero(bounds[1:] > bounds[:-1]):
-        centers[j] = members[bounds[j] : bounds[j + 1]].mean(axis=0)
+    k, dim = centers.shape
+    counts = np.bincount(labels, minlength=k)
+    bins = (labels[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(bins, weights=pool.ravel(), minlength=k * dim).reshape(k, dim)
+    filled = counts > 0
+    centers[filled] = sums[filled] / counts[filled, None]
+
+
+def _checked_descriptors(descriptors: np.ndarray, dim: int) -> np.ndarray:
+    """One video's descriptors as a float64 rows x dim matrix, or a
+    ValueError naming the shape or the problem: not 2-D, no rows, another
+    dim than the model's, or a value that is not finite."""
+    values = np.asarray(descriptors, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError(
+            f"descriptors must be a 2-D rows x dim matrix, got shape {values.shape}"
+        )
+    if values.shape[0] == 0:
+        raise ValueError(f"descriptors have no rows (shape {values.shape})")
+    if values.shape[1] != dim:
+        raise ValueError(f"descriptor dim {values.shape[1]} != model dim {dim}")
+    if not np.isfinite(values).all():
+        raise ValueError("descriptors must be finite (no NaN or inf values)")
+    return values
+
+
+# Rows per bag-of-words block: its videos x rows x centers distances stay
+# at or below the points x centers array of a fit on a pool that large.
+_BLOCK_ROWS = 4096
+
+
+def _bow_histograms(codebook: Codebook, sets: list[np.ndarray]) -> list[EncodedVector]:
+    """The bag-of-words histogram (`encode_bow`) of each checked
+    descriptor matrix.
+
+    Videos of equal row count are stacked into blocks of at most
+    `_BLOCK_ROWS` rows (one video when it alone has more); one argmin
+    labels a block's descriptors and one `np.bincount` of label +
+    video * k counts every histogram of the block.
+    """
+    k = codebook.size
+    groups: dict[int, list[int]] = {}
+    for index, values in enumerate(sets):
+        groups.setdefault(values.shape[0], []).append(index)
+    hists = np.empty((len(sets), k))
+    for rows, members in groups.items():
+        step = max(1, _BLOCK_ROWS // rows)
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            block = np.stack([sets[i] for i in chunk])
+            labels = np.argmin(
+                _squared_distances(_point_terms(block), codebook.centers), axis=-1
+            )
+            labels += np.arange(len(chunk))[:, None] * k
+            counts = np.bincount(labels.ravel(), minlength=len(chunk) * k)
+            counts = counts.reshape(len(chunk), k)
+            hists[chunk] = counts / counts.sum(axis=1, keepdims=True)
+    return [EncodedVector(values=row, kind=BOW) for row in hists]
 
 
 def encode_bow(codebook: Codebook, descriptors: np.ndarray) -> EncodedVector:
@@ -260,16 +347,7 @@ def encode_bow(codebook: Codebook, descriptors: np.ndarray) -> EncodedVector:
 
     Ties in the nearest-center assignment go to the lowest center index.
     """
-    descriptors = np.asarray(descriptors, dtype=np.float64)
-    if descriptors.shape[1] != codebook.dim:
-        raise ValueError(
-            f"descriptor dim {descriptors.shape[1]} != codebook dim {codebook.dim}"
-        )
-    labels = np.argmin(
-        _squared_distances(_point_terms(descriptors), codebook.centers), axis=1
-    )
-    hist = np.bincount(labels, minlength=codebook.size).astype(np.float64)
-    return EncodedVector(values=hist / hist.sum(), kind=BOW)
+    return _bow_histograms(codebook, [_checked_descriptors(descriptors, codebook.dim)])[0]
 
 
 _Centred = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -374,7 +452,7 @@ def train_gmm(
     step at 1e-6 times that spread (min 1e-12) against collapse onto
     duplicate points.  Every statistic is read from the pool centred once.
     """
-    pool = np.asarray(pool, dtype=np.float64)
+    pool = _checked_pool(pool)
     n = pool.shape[0]
     if components < 1:
         raise ValueError(f"component count must be >= 1, got {components}")
@@ -431,11 +509,7 @@ def fisher_gradients(
     S0 mean^2; the E-step reads the same centred descriptors.  The mean
     block vanishes when every descriptor sits at its component's mean.
     """
-    descriptors = np.asarray(descriptors, dtype=np.float64)
-    if descriptors.shape[1] != gmm.dim:
-        raise ValueError(
-            f"descriptor dim {descriptors.shape[1]} != model dim {gmm.dim}"
-        )
+    descriptors = _checked_descriptors(descriptors, gmm.dim)
     t = descriptors.shape[0]
     centred = _centred(descriptors)
     resp = _e_step(centred, gmm.weights, gmm.means, gmm.variances)[0]
@@ -637,8 +711,22 @@ def load_model(path: str | Path) -> Codebook | GmmModel:
     )
 
 
+def encode_many(
+    model: Codebook | GmmModel, descriptor_sets: Sequence[np.ndarray]
+) -> list[EncodedVector]:
+    """Encode each video with whichever model was trained, in order.
+
+    Each encoding has the bits `encode` gives that video alone.  A
+    descriptor set that is not a non-empty, finite rows x dim matrix of
+    the model's dim raises a ValueError.
+    """
+    if isinstance(model, Codebook):
+        return _bow_histograms(
+            model, [_checked_descriptors(d, model.dim) for d in descriptor_sets]
+        )
+    return [encode_fisher(model, d) for d in descriptor_sets]
+
+
 def encode(model: Codebook | GmmModel, descriptors: np.ndarray) -> EncodedVector:
     """Encode one video with whichever model was trained."""
-    if isinstance(model, Codebook):
-        return encode_bow(model, descriptors)
-    return encode_fisher(model, descriptors)
+    return encode_many(model, [descriptors])[0]

@@ -139,9 +139,10 @@ def train_encoder(dataset: Dataset, config: EvalConfig, seed: int):
 
 def encode_segments(dataset: Dataset, model) -> dict[str, encoding.EncodedVector]:
     """Segment id -> the encoding of that segment's descriptors under `model`."""
+    sets = [dataset.load_descriptors(seg).values for seg in dataset.segments]
     return {
-        seg.segment_id: encoding.encode(model, dataset.load_descriptors(seg).values)
-        for seg in dataset.segments
+        seg.segment_id: vector
+        for seg, vector in zip(dataset.segments, encoding.encode_many(model, sets))
     }
 
 

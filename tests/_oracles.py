@@ -253,6 +253,22 @@ def mask_update_centers(pool, labels, centers):
             centers[j] = members.mean(axis=0)
 
 
+def sequential_update_centers(pool, labels, centers):
+    """k-means center update adding each cluster's members one at a time
+    in pool order, then dividing by their count, in place: the sums the
+    library's update must reproduce at every dim, dim 1 included, where
+    numpy's pairwise `mean` rounds differently.
+    """
+    sums = np.zeros_like(centers)
+    counts = np.zeros(centers.shape[0], dtype=np.int64)
+    for point, j in zip(pool, labels):
+        sums[j] += point
+        counts[j] += 1
+    for j in range(centers.shape[0]):
+        if counts[j] > 0:
+            centers[j] = sums[j] / counts[j]
+
+
 def loop_markov_walk(transition, start, steps):
     """Walk that transposes the matrix afresh on every step."""
     out = np.array(start, dtype=np.float64)

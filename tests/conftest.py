@@ -54,6 +54,10 @@ def components_major_broadcast(centred, means, variances):
 
 def expanded_distances_from_terms(terms, centers, out=None):
     """`expanded_squared_distances` from `_squared_distances`'s
-    arguments; halving 2x is exact, so this recovers the points."""
-    return expanded_squared_distances(terms[0] / 2.0, centers)
+    arguments; halving 2x is exact, so this recovers the points.  A
+    videos x rows x dim stack of points gets the oracle per video."""
+    points = terms[0] / 2.0
+    if points.ndim == 3:
+        return np.stack([expanded_squared_distances(p, centers) for p in points])
+    return expanded_squared_distances(points, centers)
 

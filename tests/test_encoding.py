@@ -16,8 +16,10 @@ from semwalk.encoding import (
     EncodedVector,
     GmmModel,
     distance,
+    encode,
     encode_bow,
     encode_fisher,
+    encode_many,
     fisher_gradients,
     gmm_posteriors,
     load_model,
@@ -35,6 +37,7 @@ from _oracles import (
     expanded_squared_distances,
     full_sort_nearest,
     mask_update_centers,
+    sequential_update_centers,
 )
 from conftest import components_major_broadcast, expanded_distances_from_terms, vec
 
@@ -75,6 +78,33 @@ class TestSubsample:
     def test_empty_input(self):
         with pytest.raises(ValueError, match="no descriptor"):
             subsample([], 0.5, seed=0)
+
+    def test_set_not_2d_rejected(self):
+        # A 1-D set of 5 values used to become a 1 x 3 pool.
+        with pytest.raises(ValueError, match=r"descriptor set 1 must be a 2-D .*\(5,\)"):
+            subsample([np.ones((4, 3)), np.arange(5.0)], 0.5, seed=0)
+
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="descriptor set 2 has dim 2, set 0 has 3"):
+            subsample([np.ones((4, 3)), np.ones((2, 3)), np.ones((4, 2))], 0.5, seed=0)
+
+
+@pytest.mark.parametrize("train", [train_kmeans, train_gmm])
+class TestPoolChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pool_rejected(self, train, bad):
+        pool = np.random.default_rng(3).standard_normal((20, 3))
+        pool[7, 1] = bad
+        with pytest.raises(ValueError, match="pool must be finite"):
+            train(pool, 4, seed=0)
+
+    def test_non_finite_checked_before_duplicates(self, train):
+        with pytest.raises(ValueError, match="pool must be finite"):
+            train(np.full((10, 2), np.nan), 2, seed=0)
+
+    def test_pool_not_2d_rejected(self, train):
+        with pytest.raises(ValueError, match="pool must be a 2-D matrix of descriptors"):
+            train(np.arange(10.0), 2, seed=0)
 
 
 class TestKmeans:
@@ -170,6 +200,41 @@ class TestKmeansUpdate:
         assert centers.tobytes() == want.tobytes()
         assert not np.any(labels == 3) and not np.any(labels == 11)
 
+    def test_update_bit_equal_to_mask_per_center_over_shapes(self):
+        # For dim >= 2 numpy's mean adds rows in pool order, as the
+        # bincount sums do; clusters 0, k // 2 and k - 1 are left empty.
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            dim = int(rng.integers(2, 41))
+            k = int(rng.integers(1, 71))
+            n = int(rng.integers(1, 30 * k + 2))
+            pool = rng.standard_normal((n, dim)) * rng.choice([1e-3, 1.0, 1e3]) + 5.0
+            labels = rng.integers(0, k, size=n)
+            if k >= 3:
+                labels[np.isin(labels, [0, k // 2, k - 1])] = 1
+            centers = rng.standard_normal((k, dim))
+            want = centers.copy()
+            mask_update_centers(pool, labels, want)
+            encoding._update_centers(pool, labels, centers)
+            assert centers.tobytes() == want.tobytes(), (n, k, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 32])
+    def test_update_bit_equal_to_sequential_sums(self, dim):
+        # At dim 1 numpy's mean sums pairwise and can differ from this
+        # update in the last bits; the sums in pool order pin it.
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            k = int(rng.integers(1, 20))
+            n = int(rng.integers(1, 400))
+            pool = rng.standard_normal((n, dim)) * 3.0 + 1.0
+            labels = rng.integers(0, k, size=n)
+            labels[labels == k - 1] = 0
+            centers = rng.standard_normal((k, dim))
+            want = centers.copy()
+            sequential_update_centers(pool, labels, want)
+            encoding._update_centers(pool, labels, centers)
+            assert centers.tobytes() == want.tobytes(), (n, k)
+
     def test_training_bit_equal_to_mask_per_center(self, monkeypatch):
         pool = np.random.default_rng(14).standard_normal((900, 8)) * 2.0
         fast = train_kmeans(pool, 24, seed=3)
@@ -210,6 +275,127 @@ class TestBow:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             encode_bow(self.book, np.ones((2, 3)))
+
+
+def _bow_sets(rng, dim=32):
+    """Videos of mixed row counts, enough of 50 rows for several blocks
+    and one with more rows than a block holds."""
+    rows = [50] * 170 + [1, 3, 3, 7, 200, 1, 50, encoding._BLOCK_ROWS + 5]
+    order = rng.permutation(len(rows))
+    return [rng.standard_normal((rows[i], dim)) * 3.0 + 1.0 for i in order]
+
+
+class TestBowBlocks:
+    @pytest.mark.parametrize("k", [1, 10, 64])
+    def test_block_distances_bit_equal_per_video(self, monkeypatch, k):
+        # One 2-D product over a flattened block rounds differently
+        # from the per-video products for many distances.
+        rng = np.random.default_rng(k)
+        sets = _bow_sets(rng)
+        book = Codebook(centers=rng.standard_normal((k, 32)) * 3.0, inertia_history=[])
+        squared_distances = encoding._squared_distances
+        blocks = []
+
+        def recording(terms, centers, out=None):
+            sq = squared_distances(terms, centers, out)
+            blocks.append((terms[0] / 2.0, sq.copy()))
+            return sq
+
+        monkeypatch.setattr(encoding, "_squared_distances", recording)
+        encode_many(book, sets)
+        assert sum(len(points) for points, _ in blocks) == len(sets)
+        assert max(len(points) for points, _ in blocks) > 1
+        for points, sq in blocks:
+            assert points.ndim == 3 and len(points) * points.shape[1] <= max(
+                encoding._BLOCK_ROWS, points.shape[1]
+            )
+            for video, got in zip(points, sq):
+                want = squared_distances(encoding._point_terms(video), book.centers)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", [BOW, FV])
+    def test_encode_many_equals_encode_one_by_one(self, kind):
+        rng = np.random.default_rng(22)
+        sets = _bow_sets(rng, dim=6)[:60] + [rng.standard_normal((5, 6)) + 1e3]
+        pool = np.vstack(sets)[::7]
+        model = train_kmeans(pool, 12, seed=1) if kind == BOW else train_gmm(pool, 4, seed=1)
+        many = encode_many(model, sets)
+        assert len(many) == len(sets)
+        for got, video in zip(many, sets):
+            want = encode(model, video)
+            assert got.kind == want.kind == kind
+            assert got.values.tobytes() == want.values.tobytes()
+        assert encode_many(model, []) == []
+
+    def test_memory_bounded_by_blocks(self):
+        # One fold-wide block would hold 480 * 50 * 64 doubles of
+        # distances alone, about 12 MB.
+        rng = np.random.default_rng(23)
+        sets = [rng.standard_normal((50, 32)) for _ in range(480)]
+        book = Codebook(centers=rng.standard_normal((64, 32)), inertia_history=[])
+        tracemalloc.start()
+        try:
+            encode_many(book, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 480 * 50 * 64 * 8 / 2
+
+
+_GOOD_VIDEO = np.arange(12.0).reshape(4, 3)
+
+
+def _nan_row():
+    video = _GOOD_VIDEO.copy()
+    video[2] = np.nan
+    return video
+
+
+def _inf_value():
+    video = _GOOD_VIDEO.copy()
+    video[1, 2] = -np.inf
+    return video
+
+
+class TestEncodeInput:
+    """Every encoding entry rejects descriptors that are not a non-empty,
+    finite rows x dim matrix of the model's dim."""
+
+    models = {
+        BOW: Codebook(centers=np.arange(12.0).reshape(4, 3), inertia_history=[]),
+        FV: GmmModel(
+            weights=np.full(2, 0.5),
+            means=np.arange(6.0).reshape(2, 3),
+            variances=np.ones((2, 3)),
+            log_likelihood_history=[],
+        ),
+    }
+    entries = {
+        "encode": encode,
+        "encode_many": lambda model, d: encode_many(model, [_GOOD_VIDEO, d]),
+        "encode_kind": lambda model, d: (
+            encode_bow if isinstance(model, Codebook) else encode_fisher
+        )(model, d),
+    }
+
+    @pytest.mark.parametrize("kind", [BOW, FV])
+    @pytest.mark.parametrize("entry", sorted(entries))
+    @pytest.mark.parametrize(
+        "make,match",
+        [
+            (lambda: np.empty((0, 3)), r"no rows \(shape \(0, 3\)\)"),
+            (_nan_row, "must be finite"),
+            (lambda: np.full((4, 3), np.nan), "must be finite"),
+            (_inf_value, "must be finite"),
+            (lambda: np.arange(3.0), r"2-D rows x dim matrix, got shape \(3,\)"),
+            (lambda: np.ones((2, 4, 3)), r"2-D rows x dim matrix, got shape \(2, 4, 3\)"),
+            (lambda: np.ones((4, 2)), "descriptor dim 2 != model dim 3"),
+        ],
+        ids=["no-rows", "nan-row", "all-nan", "inf", "1-d", "3-d", "dim"],
+    )
+    def test_bad_descriptors_rejected(self, kind, entry, make, match):
+        with pytest.raises(ValueError, match=match):
+            self.entries[entry](self.models[kind], make())
 
 
 class TestGmm:
