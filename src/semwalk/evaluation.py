@@ -138,12 +138,25 @@ def train_encoder(dataset: Dataset, config: EvalConfig, seed: int):
 
 
 def encode_segments(dataset: Dataset, model) -> dict[str, encoding.EncodedVector]:
-    """Segment id -> the encoding of that segment's descriptors under `model`."""
+    """Segment id -> the encoding of that segment's descriptors under `model`.
+
+    Descriptors the model rejects raise a ValueError that names the
+    first such segment and its descriptor file.
+    """
     sets = [dataset.load_descriptors(seg).values for seg in dataset.segments]
-    return {
-        seg.segment_id: vector
-        for seg, vector in zip(dataset.segments, encoding.encode_many(model, sets))
-    }
+    try:
+        vectors = encoding.encode_many(model, sets)
+    except ValueError:
+        # Only on failure: find the first set the model rejects alone.
+        for seg, values in zip(dataset.segments, sets):
+            try:
+                encoding.encode(model, values)
+            except ValueError as exc:
+                raise ValueError(
+                    f"segment {seg.segment_id!r} ({seg.descriptor_path}): {exc}"
+                ) from exc
+        raise
+    return {seg.segment_id: vector for seg, vector in zip(dataset.segments, vectors)}
 
 
 def graph_nodes(

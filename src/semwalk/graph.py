@@ -96,6 +96,19 @@ class SvgGraph:
         codes.flags.writeable = False
         return tuple(index), codes
 
+    @cached_property
+    def class_mass_tables(self) -> dict:
+        """Class-mass tables (`inference.class_distribution`) kept by
+        `inference.classify_batch`, built on first use.
+
+        Keyed by (id(A), t, classes); each entry holds its transition
+        matrix A with the table, so the id stays A's while the entry
+        lives.  A transition matrix must not be changed in place once it
+        has been walked.  `with_vectors` builds a new graph, whose dict
+        starts empty.
+        """
+        return {}
+
 
 def distance_matrix(vectors: Sequence[EncodedVector]) -> np.ndarray:
     """Symmetric pairwise Euclidean distances with a zero diagonal."""

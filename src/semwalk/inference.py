@@ -11,16 +11,22 @@ the argmax is the predicted class.
 With t = 0 the pipeline degenerates to reciprocal-distance-weighted
 z-nearest-neighbor voting over classes.
 
+The walk is read backwards (Szummer & Jaakkola, NIPS 2002): with M the
+nodes x classes indicator of the class partition, row i of the class
+mass table C = A^t M is the class distribution of a walk of t steps
+started at node i.  A query's distribution q A^t M is then the
+start-mass-weighted sum of C's rows at its z nearest nodes.  C depends
+only on the graph, the transition matrix, t and the partition, so
+`class_distribution` walks it once and `classify_batch` keeps it on the
+graph (`SvgGraph.class_mass_tables`); every later query reads z rows of
+it.  Rows are added in ascending node order, so a query's distribution
+does not depend on the batch it arrives in, and at t = 0 (C = M) it has
+the bits of summing its start mass per class in node order.
+
 The z closest nodes come from `encoding.shortlist`, which bounds the
 candidates with one matrix-vector product; exact distances are taken on
 those nodes only, so the neighbors and their distances are those of a
-stable sort over every node.  Many queries are classified as one
-block: each is embedded on its own, then one walk moves all start
-vectors at once as the columns of an n x k matrix.  Each column gets
-exactly the floats it would get alone.  The transition matrix is
-stored by columns, so the walk applies its transpose as a CSR view; the
-node -> class index comes from the graph's annotation codes, so each
-call maps only the graph's distinct annotations.
+stable sort over every node.
 """
 from __future__ import annotations
 
@@ -91,9 +97,11 @@ def markov_walk(A: csc_array, q: np.ndarray, t: int) -> np.ndarray:
 
     q is one start vector or an n x k block of them, one per column.
     t = 0 returns q itself; each column sums to one whenever q's does.
-    With A from `normalize_transitions` (stored by columns), A.T is a
-    CSR view, and each step adds every node's incoming mass in
-    ascending source order.
+    Each step applies A.T, adding every node's incoming mass in
+    ascending source order.  `markov_walk(A.T, M, t)` walks backwards
+    and returns A^t M: with A from `normalize_transitions` (stored by
+    columns) that applies A itself, and with M a nodes x classes
+    indicator its rows are per-node class masses, each summing to one.
     """
     q = np.asarray(q, dtype=np.float64)
     if t < 0:
@@ -104,49 +112,6 @@ def markov_walk(A: csc_array, q: np.ndarray, t: int) -> np.ndarray:
     AT = A.T
     for _ in range(t):
         out = AT @ out
-    return out
-
-
-def class_distribution(
-    node_dists: np.ndarray,
-    graph: SvgGraph,
-    classes: list[tuple[str, ...]],
-) -> list[dict[str, float]]:
-    """Accumulate node mass into semantic classes, one column at a time.
-
-    `node_dists` is an n x k block of node distributions, one per
-    column; the result is their k class distributions.  Every class in
-    the partition appears in each (possibly with zero mass), and its
-    probabilities sum to one when the column does.  A block of any other
-    shape is rejected.
-    """
-    node_dists = np.asarray(node_dists, dtype=np.float64)
-    n = len(graph.nodes)
-    if node_dists.ndim != 2 or node_dists.shape[0] != n:
-        raise ValueError(
-            f"node distributions must be a nodes x k = {n} x k block, "
-            f"got shape {node_dists.shape}"
-        )
-    mapping = semantics.class_map(classes)
-    names = [component[0] for component in classes]
-    position = {name: c for c, name in enumerate(names)}
-    # Annotations in first-appearance order, so the first one missing is
-    # the first node's in node order.
-    annotations, codes = graph.annotation_codes
-    annotation_class = np.empty(len(annotations), dtype=np.intp)
-    for c, annotation in enumerate(annotations):
-        name = mapping.get(annotation)
-        if name is None:
-            raise ValueError(
-                f"node annotation {annotation!r} missing from class partition"
-            )
-        annotation_class[c] = position[name]
-    node_class = annotation_class[codes]
-    # bincount adds each class's nodes in index order, starting from 0.
-    out = []
-    for column in node_dists.T:
-        sums = np.bincount(node_class, weights=column, minlength=len(names))
-        out.append(dict(zip(names, sums.tolist())))
     return out
 
 
@@ -178,6 +143,35 @@ def query_distances(
     return rows[order], dists[order]
 
 
+def class_distribution(
+    graph: SvgGraph, A: csc_array, t: int, classes: list[tuple[str, ...]]
+) -> np.ndarray:
+    """Each node's class distribution after t steps: the nodes x classes
+    table C = A^t M.
+
+    M is the indicator of each node's class in `classes`; row i of C is
+    the class mass of a walk started at node i, in the order of
+    `classes`, and sums to one.  A node annotation the partition lacks
+    is rejected, the first node's first.
+    """
+    mapping = semantics.class_map(classes)
+    position = {component[0]: c for c, component in enumerate(classes)}
+    # Annotations in first-appearance order, so the first one missing is
+    # the first node's in node order.
+    annotations, codes = graph.annotation_codes
+    annotation_class = np.empty(len(annotations), dtype=np.intp)
+    for c, annotation in enumerate(annotations):
+        name = mapping.get(annotation)
+        if name is None:
+            raise ValueError(
+                f"node annotation {annotation!r} missing from class partition"
+            )
+        annotation_class[c] = position[name]
+    indicator = np.zeros((len(graph.nodes), len(classes)))
+    indicator[np.arange(len(graph.nodes)), annotation_class[codes]] = 1.0
+    return markov_walk(A.T, indicator, t)
+
+
 def classify_batch(
     graph: SvgGraph,
     A: csc_array,
@@ -187,10 +181,15 @@ def classify_batch(
     config: WalkConfig,
     classes: list[tuple[str, ...]] | None = None,
 ) -> list[tuple[str, dict[str, float]]]:
-    """Embed, walk, aggregate and argmax each query, walking them as one block.
+    """Embed, walk, aggregate and argmax each query.
 
-    `classes` defaults to the partition of the graph's own annotations;
-    an evaluation harness may pass a wider partition (for example one
+    Each query's distribution is the start-mass-weighted sum of the
+    `class_distribution` rows at its z nearest nodes, added in ascending
+    node order, so it is the same alone or in any batch.  The table is
+    walked once per (graph, A, t, classes) and kept on the graph, so A
+    must not be changed in place once it has been walked.  `classes`
+    defaults to the partition of the graph's own annotations; an
+    evaluation harness may pass a wider partition (for example one
     covering annotations that only occur in test data) as long as it
     covers every node annotation.  Results are in query order.
     """
@@ -200,15 +199,25 @@ def classify_batch(
         )
     if not query_vectors:
         return []
-    starts = np.zeros((len(graph.nodes), len(query_vectors)))
-    for k, query_vector in enumerate(query_vectors):
+    key = (id(A), config.t, tuple(classes))
+    entry = graph.class_mass_tables.get(key)
+    # The entry holds A, so no other matrix can take its id meanwhile.
+    if entry is None or entry[0] is not A:
+        table = class_distribution(graph, A, config.t, classes)
+        table.flags.writeable = False
+        entry = graph.class_mass_tables[key] = (A, table)
+    table = entry[1]
+    names = [component[0] for component in classes]
+    out = []
+    for query_vector in query_vectors:
         nearest, dists = query_distances(graph, query_vector, config.z)
-        starts[nearest, k] = _start_mass(dists)
-    node_dists = markov_walk(A, starts, config.t)
-    return [
-        (argmax_class(dist), dist)
-        for dist in class_distribution(node_dists, graph, classes)
-    ]
+        mass = _start_mass(dists)
+        order = np.argsort(nearest)
+        # A sum over axis 0 adds the rows one after another, in order.
+        sums = (mass[order, None] * table[nearest[order]]).sum(axis=0)
+        dist = dict(zip(names, sums.tolist()))
+        out.append((argmax_class(dist), dist))
+    return out
 
 
 def classify(

@@ -277,6 +277,23 @@ def loop_markov_walk(transition, start, steps):
     return out
 
 
+def forward_class_distribution(graph, A, classes, starts, t):
+    """Class distributions of an n x k block of start vectors, walked
+    forwards: the block moved t steps by `loop_markov_walk`, then each
+    column's node mass added per class by `np.bincount`, in node order.
+    """
+    names = [component[0] for component in classes]
+    class_of = {
+        annotation: c for c, component in enumerate(classes) for annotation in component
+    }
+    node_class = [class_of[node.annotation] for node in graph.nodes]
+    walked = loop_markov_walk(A, starts, t)
+    return [
+        dict(zip(names, np.bincount(node_class, weights=column, minlength=len(names)).tolist()))
+        for column in walked.T
+    ]
+
+
 def centred_broadcast_log_gaussians(centred, means, variances):
     """`broadcast_log_gaussians` taking the E-step's `_centred` form: the
     shifted points against the means shifted by the same centre, the

@@ -274,6 +274,27 @@ class TestClassifyFlow:
         save_graph(build_svg(nodes, parse_taxonomy(taxonomy), "ah", 7), tmp_path / "library.txt")
         assert graph_file.read_bytes() == (tmp_path / "library.txt").read_bytes()
 
+    def test_encoding_error_names_segment_and_file(self, tmp_path, capsys):
+        four = gen(tmp_path, "four")
+        six = gen(tmp_path, "six", extra=("--dim", "6"))
+        model = tmp_path / "model.txt"
+        assert dispatch(
+            ["encode", "--manifest", str(four / "manifest.tsv"), "--encoding", "bow",
+             "--gamma", "4", "--out", str(model)]
+        ) == 0
+        capsys.readouterr()
+        manifest = six / "manifest.tsv"
+        first = parse_manifest(manifest).segments[0]
+        assert dispatch(
+            ["build-graph", "--manifest", str(manifest), "--mode", "verb",
+             "--model", str(model), "--out", str(tmp_path / "graph.txt")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"semwalk: error: segment {first.segment_id!r} ({first.descriptor_path}): "
+            "descriptor dim 6 != model dim 4\n"
+        )
+
     def test_classify_missing_graph_names_flag(self, tmp_path, capsys):
         code = dispatch(["classify", "--manifest", "x.tsv", "--model", "m.txt"])
         assert code == 2

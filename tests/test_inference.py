@@ -1,12 +1,12 @@
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
+import semwalk.inference
 from semwalk.encoding import distance, stack
-from semwalk.graph import SvgGraph, SvgNode, build_svg, normalize_transitions
+from semwalk.graph import SvgGraph, SvgNode, build_svg, normalize_transitions, with_vectors
 from semwalk.inference import (
     WalkConfig,
     argmax_class,
@@ -19,7 +19,7 @@ from semwalk.inference import (
 )
 from semwalk.semantics import VERB, semantic_classes
 
-from _oracles import enumerate_walk, loop_markov_walk
+from _oracles import enumerate_walk, forward_class_distribution, loop_markov_walk
 from conftest import vec
 
 
@@ -186,11 +186,17 @@ class TestMarkovWalk:
                     assert got.tobytes() == markov_walk(A.tocsr(), q, t).tobytes()
 
 
+def classify_at_t0(g, query, z, classes):
+    A = normalize_transitions(g)
+    return classify_batch(g, A, None, VERB, [vec(query)], WalkConfig(z=z, t=0), classes)[0]
+
+
 class TestClassDistribution:
     def test_direct_mapping(self):
+        # Distances 0.4 and 0.6 give start mass 0.6 and 0.4.
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "b"])
         classes = semantic_classes(None, {"a", "b"}, VERB)
-        dist = class_distribution(np.array([0.6, 0.4])[:, None], g, classes)[0]
+        _label, dist = classify_at_t0(g, [0.4, 0.0], 2, classes)
         assert dist == {"a": pytest.approx(0.6), "b": pytest.approx(0.4)}
 
     def test_accumulates_per_class(self):
@@ -198,21 +204,23 @@ class TestClassDistribution:
             [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ["a", "a", "b"]
         )
         classes = semantic_classes(None, {"a", "b"}, VERB)
-        dist = class_distribution(np.array([0.5, 0.3, 0.2])[:, None], g, classes)[0]
-        assert dist["a"] == pytest.approx(0.8)
-        assert dist["b"] == pytest.approx(0.2)
+        label, dist = classify_at_t0(g, [0.5, 0.0], 3, classes)
+        recip = 1.0 / np.array([0.5, 0.5, 1.5])
+        assert dist["a"] == pytest.approx((recip[0] + recip[1]) / recip.sum())
+        assert dist["b"] == pytest.approx(recip[2] / recip.sum())
+        assert label == "a"
 
     def test_single_class_gets_everything(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "a"])
         classes = semantic_classes(None, {"a"}, VERB)
-        dist = class_distribution(np.array([0.5, 0.5])[:, None], g, classes)[0]
+        _label, dist = classify_at_t0(g, [0.3, 0.0], 2, classes)
         assert dist == {"a": pytest.approx(1.0)}
 
     def test_missing_annotation_rejected(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "zz"])
         classes = semantic_classes(None, {"a"}, VERB)
         with pytest.raises(ValueError, match="zz"):
-            class_distribution(np.array([0.5, 0.5])[:, None], g, classes)
+            classify_at_t0(g, [0.0, 0.0], 2, classes)
 
     @pytest.mark.parametrize(
         "labels,first",
@@ -222,7 +230,7 @@ class TestClassDistribution:
         g = make_graph([[float(i), 0.0] for i in range(4)], labels)
         classes = semantic_classes(None, {"a", "b"}, VERB)
         with pytest.raises(ValueError, match=rf"^node annotation '{first}' missing"):
-            class_distribution(np.full(4, 0.25)[:, None], g, classes)
+            classify_at_t0(g, [0.0, 0.0], 4, classes)
 
     def test_annotation_codes_in_first_appearance_order(self):
         g = make_graph([[float(i), 0.0] for i in range(5)], ["c", "a", "c", "b", "a"])
@@ -231,39 +239,143 @@ class TestClassDistribution:
         assert codes.tolist() == [0, 1, 0, 2, 1]
         assert g.annotation_codes is g.annotation_codes
         assert not codes.flags.writeable
-
-    def test_block_gives_one_distribution_per_column(self):
-        g = make_graph([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ["a", "b", "a"])
+        # The class-mass table follows the partition's order, not the codes'.
         classes = semantic_classes(None, {"a", "b", "c"}, VERB)
-        block = np.array([[0.1, 1.0], [0.3, 0.0], [0.6, 0.0]])
-        dists = class_distribution(block, g, classes)
-        assert dists == [
-            class_distribution(block[:, :1], g, classes)[0],
-            class_distribution(block[:, 1:], g, classes)[0],
-        ]
-        assert list(dists[1]) == ["a", "b", "c"] and dists[1]["c"] == 0.0
-
-    @pytest.mark.parametrize(
-        "node_dists",
-        [
-            np.array([0.5, 0.3, 0.2]),
-            np.full((2, 1), 0.5),
-            np.full((4, 2), 0.25),
-            np.ones((3, 1, 1)),
-        ],
-    )
-    def test_block_of_another_shape_rejected(self, node_dists):
-        # A 1-D walk result (one start vector) or a wrong node count is
-        # named as such, not left to bincount.
-        g = make_graph([[float(i), 0.0] for i in range(3)], ["a", "b", "a"])
-        classes = semantic_classes(None, {"a", "b"}, VERB)
-        shape = re.escape(str(node_dists.shape))
-        with pytest.raises(ValueError, match=rf"nodes x k = 3 x k block, got shape {shape}"):
-            class_distribution(node_dists, g, classes)
+        table = class_distribution(g, normalize_transitions(g), 0, classes)
+        assert table.tolist() == [[0, 0, 1], [1, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
     def test_argmax_tie_breaks_lexicographically(self):
         assert argmax_class({"b": 0.5, "a": 0.5}) == "a"
         assert argmax_class({"b": 0.6, "a": 0.4}) == "b"
+        # A query halfway between a "b" node and an "a" node ties exactly.
+        g = make_graph([[0.0, 0.0], [2.0, 0.0]], ["b", "a"])
+        classes = semantic_classes(None, {"a", "b"}, VERB)
+        label, dist = classify_at_t0(g, [1.0, 0.0], 2, classes)
+        assert dist == {"a": 0.5, "b": 0.5}
+        assert label == "a"
+
+
+def random_labelled_graph(rng, n):
+    labels = [f"l{int(rng.integers(3))}" for _ in range(n)]
+    g = make_graph(rng.standard_normal((n, 3)), labels)
+    return g, semantic_classes(None, set(labels), VERB)
+
+
+class TestClassMasses:
+    @pytest.mark.parametrize("t", [0, 1, 3, 8])
+    def test_rows_match_path_enumeration(self, t):
+        # Row i is the class mass after t steps from node i alone.
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            n = int(rng.integers(2, 6 if t <= 3 else 4))
+            g, classes = random_labelled_graph(rng, n)
+            A = normalize_transitions(g)
+            table = class_distribution(g, A, t, classes)
+            assert table.shape == (n, len(classes))
+            dense = A.toarray()
+            position = {a: c for c, comp in enumerate(classes) for a in comp}
+            for i in range(n):
+                node_mass = enumerate_walk(dense, np.eye(n)[i], t)
+                want = np.zeros(len(classes))
+                for j, node in enumerate(g.nodes):
+                    want[position[node.annotation]] += node_mass[j]
+                np.testing.assert_allclose(table[i], want, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("z", [1, 3, 40])
+    def test_zero_steps_bit_equal_to_forward_walk(self, z):
+        rng = np.random.default_rng(14)
+        for _ in range(15):
+            g, A, queries = random_walk_case(rng)
+            classes = semantic_classes(None, {node.annotation for node in g.nodes}, VERB)
+            starts = np.column_stack(
+                [embed_query(g, distance(q, g.vector_matrix), z) for q in queries]
+            )
+            want = forward_class_distribution(g, A, classes, starts, 0)
+            got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=0))
+            assert got == [(argmax_class(dist), dist) for dist in want]
+
+    @pytest.mark.parametrize("z,t", [(1, 0), (2, 0), (4, 0), (2, 1), (4, 3), (6, 8)])
+    def test_tie_heavy_argmax_matches_forward_walk(self, z, t):
+        # Each point carries two nodes of different classes, so queries
+        # meet equal distances and classes of equal mass.
+        points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        labels = ["b", "a", "c", "a", "a", "b", "c", "b"]
+        g = make_graph([p for p in points for _ in range(2)], labels)
+        A = normalize_transitions(g)
+        classes = semantic_classes(None, set(labels), VERB)
+        queries = [vec(q) for q in ([0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [1.0, 1.0], [0.0, 0.5])]
+        starts = np.column_stack(
+            [embed_query(g, distance(q, g.vector_matrix), z) for q in queries]
+        )
+        want = forward_class_distribution(g, A, classes, starts, t)
+        got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
+        assert [label for label, _dist in got] == [argmax_class(dist) for dist in want]
+
+    @pytest.mark.parametrize("z,t", [(1, 0), (3, 2), (40, 8)])
+    def test_query_alone_equals_in_any_batch(self, z, t):
+        rng = np.random.default_rng(15)
+        config = WalkConfig(z=z, t=t)
+        for _ in range(10):
+            g, A, queries = random_walk_case(rng)
+            alone = [classify(g, A, None, VERB, q, config) for q in queries]
+            assert classify_batch(g, A, None, VERB, queries, config) == alone
+            order = rng.permutation(len(queries))
+            shuffled = classify_batch(g, A, None, VERB, [queries[k] for k in order], config)
+            assert shuffled == [alone[k] for k in order]
+
+    def test_walked_once_per_graph_matrix_steps_and_partition(self, monkeypatch):
+        calls = []
+
+        def counting_walk(A, q, t):
+            calls.append(t)
+            return markov_walk(A, q, t)
+
+        monkeypatch.setattr(semwalk.inference, "markov_walk", counting_walk)
+        rng = np.random.default_rng(16)
+        g = make_graph(rng.standard_normal((8, 2)), ["a", "b", "c", "a", "b", "c", "a", "b"])
+        A = normalize_transitions(g)
+        narrow = semantic_classes(None, {"a", "b", "c"}, VERB)
+        wide = semantic_classes(None, {"a", "b", "c", "d"}, VERB)
+        query = vec(rng.standard_normal(2))
+        first = classify(g, A, None, VERB, query, WalkConfig(z=3, t=2), narrow)
+        for _ in range(19):
+            assert classify(g, A, None, VERB, query, WalkConfig(z=3, t=2), narrow) == first
+        assert calls == [2]
+
+        # Equal values in another matrix, another t, another partition:
+        # each walks afresh and gets its own table.
+        same_values = normalize_transitions(g)
+        assert classify(g, same_values, None, VERB, query, WalkConfig(z=3, t=2), narrow) == first
+        assert len(calls) == 2
+        other = normalize_transitions(
+            make_graph(rng.standard_normal((8, 2)), ["a", "b", "c", "a", "b", "c", "a", "b"])
+        )
+        _label, dist = classify(g, other, None, VERB, query, WalkConfig(z=3, t=2), narrow)
+        start = embed_query(g, distance(query, g.vector_matrix), 3)[:, None]
+        want = forward_class_distribution(g, other, narrow, start, 2)[0]
+        np.testing.assert_allclose(list(dist.values()), list(want.values()), atol=1e-12, rtol=0)
+        assert dist != first[1]
+        assert len(calls) == 3
+        other_t = classify(g, A, None, VERB, query, WalkConfig(z=3, t=5), narrow)
+        assert len(calls) == 4 and calls[-1] == 5 and other_t != first
+        widened = classify(g, A, None, VERB, query, WalkConfig(z=3, t=2), wide)
+        assert len(calls) == 5 and list(widened[1]) == ["a", "b", "c", "d"]
+        assert widened[1]["d"] == 0.0
+        # Every table stays cached: no further walks.
+        classify(g, A, None, VERB, query, WalkConfig(z=3, t=5), narrow)
+        classify(g, A, None, VERB, query, WalkConfig(z=3, t=2), wide)
+        assert len(calls) == 5
+
+    def test_new_graph_starts_with_no_tables(self):
+        rng = np.random.default_rng(17)
+        g = make_graph(rng.standard_normal((5, 2)), ["a", "b", "a", "b", "a"])
+        A = normalize_transitions(g)
+        classify(g, A, None, VERB, vec([0.0, 0.0]), WalkConfig(z=2, t=1))
+        ((A_kept, table),) = g.class_mass_tables.values()
+        assert A_kept is A and not table.flags.writeable
+        vectors = {node.segment_id: node.vector for node in g.nodes}
+        assert with_vectors(g, vectors).class_mass_tables == {}
 
 
 class TestClassify:
@@ -348,9 +460,8 @@ class TestClassify:
         q_base = embed_query(g, d, 3)
         q_scaled = embed_query(g, d * 42.0, 3)
         assert np.allclose(q_base, q_scaled, atol=1e-9)
-        walked = markov_walk(A, q_scaled, 2)
         classes = semantic_classes(None, set(labels), VERB)
-        dist = class_distribution(walked[:, None], g, classes)[0]
+        dist = forward_class_distribution(g, A, classes, q_scaled[:, None], 2)[0]
         assert argmax_class(dist) == label
 
 
@@ -422,11 +533,17 @@ class TestBatch:
             expected = []
             for q in queries:
                 d = np.array([distance(q, stack([node.vector]))[0] for node in g.nodes])
-                walked = markov_walk(A, embed_query(g, d, z), t)
-                dist = class_distribution(walked[:, None], g, classes)[0]
-                expected.append((argmax_class(dist), dist))
+                start = embed_query(g, d, z)[:, None]
+                expected.append(forward_class_distribution(g, A, classes, start, t)[0])
             got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
-            assert got == expected
+            # The backward walk adds in another order: equal predictions,
+            # distributions equal up to rounding.
+            assert [label for label, _dist in got] == [argmax_class(d) for d in expected]
+            for (_label, dist), want in zip(got, expected):
+                assert list(dist) == list(want)
+                np.testing.assert_allclose(
+                    list(dist.values()), list(want.values()), atol=1e-12, rtol=0
+                )
 
     def test_one_query_builds_no_nodes_by_length_array(self):
         # 400 nodes of length 640, the classify benchmark's graph.  After a
