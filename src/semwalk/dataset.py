@@ -79,7 +79,7 @@ class _DescriptorStore:
     """Per-dataset descriptor cache; shared across splits of one dataset."""
 
     def __init__(self) -> None:
-        self.dim: int | None = None
+        self.first_loaded: tuple[VideoSegment, int] | None = None
         self._cache: dict[str, DescriptorSet] = {}
 
     def load(self, segment: VideoSegment) -> DescriptorSet:
@@ -87,12 +87,14 @@ class _DescriptorStore:
         if cached is not None:
             return cached
         descriptors = read_descriptor_file(segment.descriptor_path)
-        if self.dim is None:
-            self.dim = descriptors.dim
-        elif descriptors.dim != self.dim:
+        if self.first_loaded is None:
+            self.first_loaded = segment, descriptors.dim
+        first, dim = self.first_loaded
+        if descriptors.dim != dim:
             raise ValueError(
-                f"segment {segment.segment_id!r}: descriptor dim {descriptors.dim} "
-                f"does not match dataset dim {self.dim}"
+                f"segment {segment.segment_id!r} ({segment.descriptor_path}): "
+                f"descriptor dim {descriptors.dim} does not match dataset dim {dim} "
+                f"of segment {first.segment_id!r} ({first.descriptor_path})"
             )
         self._cache[segment.segment_id] = descriptors
         return descriptors

@@ -18,12 +18,13 @@ runs along contiguous rows of points.  Its Gaussian log-densities come
 from the expanded Mahalanobis form, two components x dim @ dim x points
 products on data centred once per fit or video and stored transposed,
 dim x points (`_centred`), so the largest EM temporaries are
-points x dim or components x points; its log-normalizer is scipy's
-logsumexp algorithm in plain numpy, reduced over the components axis
-(`_logsumexp_columns`).  Every mixture statistic reads `_centred`
-points only: the M-step, the variance floor and the Fisher gradients
-take the sufficient statistics (S0, S1, S2) from one `_statistics`, so
-mixtures and Fisher vectors do not change when descriptors are shifted.
+points x dim or components x points; one exponentiation of that
+components x points array, shifted by each point's largest term, gives
+both the responsibilities and the log-likelihoods.  Every mixture
+statistic reads `_centred` points only: the M-step, the variance floor
+and the Fisher gradients take the sufficient statistics (S0, S1, S2)
+from one `_statistics`, so mixtures and Fisher vectors do not change
+when descriptors are shifted.
 k-means builds one points x centers array per fit and reuses it, and
 each center update takes every cluster's sums from one `np.bincount`
 over (label, dimension) bins.  Bag-of-words encoding (`encode_many`)
@@ -393,34 +394,21 @@ def _e_step(
     variances: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities, components x points (columns sum to 1), and
-    per-point log-likelihoods.
+    per-point log-likelihoods as a 1 x points row: the one E-step of EM
+    training and Fisher encoding, on `_centred` points.
 
-    The one E-step shared by EM training and Fisher encoding, on
-    `_centred` points; the log-likelihoods come back as a 1 x points row.
+    The log-joint less its column maxima is exponentiated once, so its
+    column sums s lie in [1, components]; the responsibilities are the
+    columns over s, and the log-likelihoods max + log(s).
     """
     log_joint = _log_gaussians(centred, means, variances)
     log_joint += np.log(weights)[:, None]
-    log_norm = _logsumexp_columns(log_joint)
-    log_joint -= log_norm
-    return np.exp(log_joint, out=log_joint), log_norm
-
-
-def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=0)) as a 1 x columns row.
-
-    The algorithm of `scipy.special.logsumexp` (scipy >= 1.15) without
-    its array-API dispatch, so the bits are the same: the column maxima
-    are taken out of the sum, counted as m, and added back as
-    log1p(s / m) + log(m) + max.
-    """
-    a_max = np.max(a, axis=0, keepdims=True)
-    is_max = a == a_max
-    shifted = np.subtract(a, a_max)
-    np.exp(shifted, out=shifted)
-    shifted[is_max] = 0.0
-    s = np.sum(shifted, axis=0, keepdims=True)
-    m = np.count_nonzero(is_max, axis=0, keepdims=True).astype(np.float64)
-    return np.log1p(s / m) + np.log(m) + a_max
+    top = log_joint.max(axis=0, keepdims=True)
+    log_joint -= top
+    resp = np.exp(log_joint, out=log_joint)
+    total = resp.sum(axis=0, keepdims=True)
+    resp /= total
+    return resp, top + np.log(total)
 
 
 def _statistics(resp: np.ndarray, centred: _Centred) -> tuple[np.ndarray, ...]:

@@ -231,10 +231,19 @@ def save_graph(graph: SvgGraph, path: str | Path) -> None:
     Nodes are written as `index segment_id annotation` in index order;
     undirected edges as `i j weight tag` sorted by (i, j).  The dump is
     deterministic, diffable, and sufficient to rebuild the structure
-    (vectors are not stored; re-encode to re-attach them).
+    (vectors are not stored; re-encode to re-attach them).  A segment id
+    with whitespace, or an annotation with a line break, would not read
+    back as written, so either raises a ValueError naming the node.
     """
     lines = [f"nodes {len(graph.nodes)} mode {graph.mode} m {graph.m}"]
     for idx, node in enumerate(graph.nodes):
+        if any(ch.isspace() for ch in node.segment_id):
+            raise ValueError(f"node {idx}: segment id {node.segment_id!r} contains whitespace")
+        if "".join(node.annotation.splitlines()) != node.annotation:
+            raise ValueError(
+                f"node {idx} (segment {node.segment_id!r}): annotation "
+                f"{node.annotation!r} contains a line break"
+            )
         lines.append(f"{idx} {node.segment_id} {node.annotation}")
     pairs = graph.undirected_pairs()
     lines.append(f"edges {len(pairs)}")

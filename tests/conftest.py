@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from semwalk.encoding import EncodedVector
 from semwalk.semantics import parse_taxonomy
@@ -27,6 +28,15 @@ def taxonomy(tmp_path):
 
 def vec(values, kind="fv"):
     return EncodedVector(values=np.asarray(values, dtype=np.float64), kind=kind)
+
+
+# Manifest fields: no tab or line break, no surrounding whitespace, not
+# empty, and (for the first field) no leading "#" that would make a comment.
+MANIFEST_FIELDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    min_size=1,
+    max_size=6,
+).filter(lambda s: s == s.strip() and not s.startswith("#"))
 
 
 def write_manifest(path, rows):

@@ -1,10 +1,11 @@
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semwalk.cli import _DEST, _Options, build_parser, dispatch
-from semwalk.dataset import parse_manifest
+from semwalk.dataset import parse_manifest, write_descriptor_file
 from semwalk.encoding import load_model, save_model
 from semwalk.evaluation import (
     EvalConfig,
@@ -18,6 +19,8 @@ from semwalk.evaluation import (
 from semwalk.graph import build_svg, save_graph
 from semwalk.inference import WalkConfig
 from semwalk.semantics import parse_taxonomy
+
+from conftest import write_manifest
 
 
 def tree_bytes(root: Path) -> dict:
@@ -93,6 +96,23 @@ class TestEvaluate:
         )
         assert code != 0
         assert "--out" in capsys.readouterr().err
+
+    def test_dim_mismatch_names_both_segments_and_files(self, tmp_path, capsys):
+        # Fold p0 loads s1's descriptors first, so s0 is the one that differs.
+        write_descriptor_file(tmp_path / "s0.txt", np.ones((2, 3)))
+        write_descriptor_file(tmp_path / "s1.txt", np.ones((2, 4)))
+        manifest = write_manifest(
+            tmp_path / "m.tsv",
+            [("s0", "p0", "put", None, "s0.txt"), ("s1", "p1", "put", None, "s1.txt")],
+        )
+        assert dispatch(
+            ["evaluate", "--manifest", str(manifest), "--mode", "verb", "--method", "knn",
+             "--encoding", "bow", "--gamma", "1", "--out", str(tmp_path / "r.txt")]
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"semwalk: error: segment 's0' ({tmp_path / 's0.txt'}): descriptor dim 3 "
+            f"does not match dataset dim 4 of segment 's1' ({tmp_path / 's1.txt'})\n"
+        )
 
     def test_sample_flag_limits_dataset(self, tmp_path):
         data = gen(tmp_path, "data")
@@ -294,6 +314,26 @@ class TestClassifyFlow:
             f"semwalk: error: segment {first.segment_id!r} ({first.descriptor_path}): "
             "descriptor dim 6 != model dim 4\n"
         )
+
+    def test_build_graph_refuses_a_segment_id_with_a_space(self, tmp_path, capsys):
+        data = gen(tmp_path, "data")
+        model, graph_file = tmp_path / "model.txt", tmp_path / "graph.txt"
+        manifest = data / "manifest.tsv"
+        assert dispatch(
+            ["encode", "--manifest", str(manifest), "--encoding", "bow",
+             "--gamma", "4", "--out", str(model)]
+        ) == 0
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("seg0002\t", "seg 2\t"), encoding="utf-8")
+        capsys.readouterr()
+        assert dispatch(
+            ["build-graph", "--manifest", str(manifest), "--mode", "verb",
+             "--model", str(model), "--out", str(graph_file)]
+        ) == 1
+        assert capsys.readouterr().err == (
+            "semwalk: error: node 2: segment id 'seg 2' contains whitespace\n"
+        )
+        assert not graph_file.exists()
 
     def test_classify_missing_graph_names_flag(self, tmp_path, capsys):
         code = dispatch(["classify", "--manifest", "x.tsv", "--model", "m.txt"])

@@ -15,7 +15,7 @@ from semwalk.dataset import (
 )
 
 from _oracles import loop_read_descriptor_file
-from conftest import write_manifest
+from conftest import MANIFEST_FIELDS, write_manifest
 
 
 def _rows(n, person="p0"):
@@ -273,17 +273,11 @@ class TestDescriptorParseOracle:
             assert outcome[0] == "error"
 
 
-# Manifest fields: no tab or line break, no surrounding whitespace, not
-# empty, and (for the first field) no leading "#" that would make a comment.
-_FIELD = st.text(
-    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
-    min_size=1,
-    max_size=6,
-).filter(lambda s: s == s.strip() and not s.startswith("#"))
 _MEANING = st.one_of(
-    st.none(), st.builds("{}.v.{}".format, _FIELD, st.integers(1, 99).map(str))
+    st.none(),
+    st.builds("{}.v.{}".format, MANIFEST_FIELDS, st.integers(1, 99).map(str)),
 )
-_RELATIVE = _FIELD.filter(lambda s: not s.startswith("/"))
+_RELATIVE = MANIFEST_FIELDS.filter(lambda s: not s.startswith("/"))
 _BAD_MEANINGS = ["putv1", "put.v.0", "put.v.x", ".v.1", "put.n.1"]
 
 
@@ -291,9 +285,15 @@ _BAD_MEANINGS = ["putv1", "put.v.0", "put.v.x", ".v.1", "put.n.1"]
 def manifests(draw):
     """Manifest rows with unique segment ids, the text holding them among
     comment and blank lines, and the line number of each row."""
-    ids = draw(st.lists(_FIELD, min_size=1, max_size=6, unique=True))
+    ids = draw(st.lists(MANIFEST_FIELDS, min_size=1, max_size=6, unique=True))
     rows = [
-        [segment_id, draw(_FIELD), draw(_FIELD), draw(_MEANING), draw(_RELATIVE)]
+        [
+            segment_id,
+            draw(MANIFEST_FIELDS),
+            draw(MANIFEST_FIELDS),
+            draw(_MEANING),
+            draw(_RELATIVE),
+        ]
         for segment_id in ids
     ]
     fillers = st.lists(st.sampled_from(["", "  ", "\t", "# note", "  #\tx"]), max_size=2)
@@ -343,7 +343,7 @@ class TestManifestProperties:
         if kind == "fewer":
             fields.pop(data.draw(st.integers(0, 4)))
         elif kind == "more":
-            fields.insert(data.draw(st.integers(0, 5)), data.draw(_FIELD))
+            fields.insert(data.draw(st.integers(0, 5)), data.draw(MANIFEST_FIELDS))
         elif kind == "duplicate":
             fields[0] = rows[first][0]
         else:

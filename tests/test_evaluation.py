@@ -463,6 +463,15 @@ class TestOracleKernels:
         # loads every descriptor the oracle run uses.
         ds = parse_manifest(manifest_path)
         monkeypatch.setattr(semwalk.encoding, "_squared_distances", expanded_distances_from_terms)
+        # graph.py holds its own name for the kernel; count its calls so
+        # that a sembed run that never reaches the oracle fails.
+        graph_calls = []
+
+        def graph_distances(terms, centers, out=None):
+            graph_calls.append(centers.shape)
+            return expanded_distances_from_terms(terms, centers, out)
+
+        monkeypatch.setattr(semwalk.graph, "_squared_distances", graph_distances)
         monkeypatch.setattr(semwalk.inference, "shortlist", full_sort_nearest)
         monkeypatch.setattr(semwalk.baselines, "shortlist", full_sort_nearest)
         monkeypatch.setattr(semwalk.encoding, "_update_centers", mask_update_centers)
@@ -476,6 +485,7 @@ class TestOracleKernels:
         ]
         assert shipped.accuracy == oracle.accuracy < 1.0
         assert len(read) == len(ds)
+        assert len(graph_calls) == (len(ds.persons()) if method == "sembed" else 0)
 
 
 class TestReportFile:

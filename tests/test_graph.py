@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 import semwalk.graph
@@ -27,7 +27,7 @@ from _oracles import (
     expanded_squared_distances,
     loop_normalize_transitions,
 )
-from conftest import vec
+from conftest import MANIFEST_FIELDS, vec
 
 
 def make_nodes(points, labels, kind="fv"):
@@ -553,22 +553,27 @@ class TestGraphFiles:
             load_graph(path)
 
 
-_LABELS = ["put", "take", "wash up.v.3", "put_down.v.1"]
+# A manifest line ends only at \n or \r, so "\x0b" (a line boundary to
+# str.splitlines) can sit inside a verb.
+_LABELS = ["put", "take", "wash up.v.3", "put_down.v.1", "put\x0bdown"]
 
 
 @st.composite
 def graphs(draw, max_nodes=10):
-    """Any structure-only graph a dump can hold: edges between any nodes,
-    any finite weights > 0, either tag."""
+    """Any structure-only graph a manifest can lead to: segment ids and
+    annotations of manifest-field text, edges between any nodes, any
+    finite weights > 0, either tag."""
     n = draw(st.integers(1, max_nodes))
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pairs = sorted(draw(st.sets(st.sampled_from(all_pairs)))) if all_pairs else []
     count = len(pairs)
     weight = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    ids = draw(st.lists(MANIFEST_FIELDS, min_size=n, max_size=n, unique=True))
+    label = st.one_of(st.sampled_from(_LABELS), MANIFEST_FIELDS)
     return SvgGraph(
         nodes=[
-            SvgNode(segment_id=f"s{i}", annotation=draw(st.sampled_from(_LABELS)), vector=None)
-            for i in range(n)
+            SvgNode(segment_id=segment_id, annotation=draw(label), vector=None)
+            for segment_id in ids
         ],
         ends=np.array(pairs, dtype=np.intp).reshape(-1, 2),
         weights=np.array(draw(st.lists(weight, min_size=count, max_size=count))),
@@ -599,6 +604,22 @@ def _assert_same_graph(got, want):
     assert np.array_equal(got.semantic, want.semantic)
 
 
+def _undumpable(node):
+    """Whether `save_graph` must refuse the node: a segment id the loader
+    would split, or an annotation it would read as several lines."""
+    line_break = len((node.annotation + "x").splitlines()) > 1
+    return line_break or any(ch.isspace() for ch in node.segment_id)
+
+
+def _save(graph, path):
+    """`save_graph`, leaving out of the test a graph whose dump it refuses
+    (`test_dump_loads_back_equal_or_is_refused` checks those)."""
+    try:
+        save_graph(graph, path)
+    except ValueError:
+        reject()
+
+
 def _dumps(max_examples):
     return settings(
         max_examples=max_examples,
@@ -608,11 +629,25 @@ def _dumps(max_examples):
 
 
 class TestGraphDumpProperties:
+    @_dumps(100)
+    @given(graph=graphs())
+    def test_dump_loads_back_equal_or_is_refused(self, tmp_path, graph):
+        path = tmp_path / "g.txt"
+        try:
+            save_graph(graph, path)
+        except ValueError as exc:
+            idx = next(i for i, node in enumerate(graph.nodes) if _undumpable(node))
+            assert str(exc).startswith(f"node {idx}")
+            assert repr(graph.nodes[idx].segment_id) in str(exc)
+        else:
+            assert not any(_undumpable(node) for node in graph.nodes)
+            _assert_same_graph(load_graph(path), graph)
+
     @_dumps(60)
     @given(graph=graphs())
     def test_save_load_save_same_bytes_and_transitions(self, tmp_path, graph):
         first, second = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_graph(graph, first)
+        _save(graph, first)
         loaded = load_graph(first)
         _assert_same_graph(loaded, graph)
         save_graph(loaded, second)
@@ -623,7 +658,7 @@ class TestGraphDumpProperties:
     @given(graph=graphs(), seed=st.integers(0, 2**32 - 1))
     def test_shuffled_and_swapped_edge_lines_load_canonical(self, tmp_path, graph, seed):
         path = tmp_path / "g.txt"
-        save_graph(graph, path)
+        _save(graph, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         head, edge_lines = lines[: len(graph) + 2], lines[len(graph) + 2 :]
         rng = random.Random(seed)
@@ -639,7 +674,7 @@ class TestGraphDumpProperties:
     @given(graph=graphs(max_nodes=6))
     def test_every_truncated_prefix_raises_value_error(self, tmp_path, graph):
         full, path = tmp_path / "full.txt", tmp_path / "cut.txt"
-        save_graph(graph, full)
+        _save(graph, full)
         text = full.read_text(encoding="utf-8")
         # Only the final newline may go: any shorter prefix loses a line
         # or a header field, or cuts the last line before its tag ends.
