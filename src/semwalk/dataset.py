@@ -10,7 +10,7 @@ comments.  Descriptor paths are resolved relative to the manifest's
 directory.  A descriptor file starts with a ``rows dim`` header line
 followed by ``rows`` lines of ``dim`` whitespace-separated finite reals;
 blank lines are skipped.  A malformed file raises a ValueError naming
-the file and, for a bad body line, the line.
+the file and, for a bad body line or a byte that is not UTF-8, the line.
 
 Descriptor loading is lazy: segments only name their file until the
 matrix is first requested, after which it is cached in a store that
@@ -122,6 +122,22 @@ class Dataset:
         return self._store.load(segment)
 
 
+def _utf8_text(path: Path) -> str:
+    """A file's text, or a ValueError naming the file and the line of its
+    first byte that is not UTF-8, lines counted as `str.splitlines`
+    counts them."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; a sentinel after them
+        # stands for the line the bad byte is on.
+        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ValueError(
+            f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8"
+        ) from None
+
+
 def read_descriptor_file(path: str | Path) -> DescriptorSet:
     """Parse one descriptor file; rejects short/long bodies and non-finite values.
 
@@ -129,11 +145,11 @@ def read_descriptor_file(path: str | Path) -> DescriptorSet:
     refuses or returns in the wrong shape or with a non-finite value is
     parsed again line by line with `float()`, which accepts the same
     tokens and more (``1_0``, non-ASCII digits) and makes every error
-    message, naming the file and the line.
+    message, naming the file and the line.  A byte that is not UTF-8
+    raises a ValueError naming the file and its line.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _utf8_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty descriptor file")
     header = lines[0].split()

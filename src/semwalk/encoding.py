@@ -25,14 +25,20 @@ statistic reads `_centred` points only: the M-step, the variance floor
 and the Fisher gradients take the sufficient statistics (S0, S1, S2)
 from one `_statistics`, so mixtures and Fisher vectors do not change
 when descriptors are shifted.
-k-means builds one points x centers array per fit and reuses it, and
-each center update takes every cluster's sums from one `np.bincount`
-over (label, dimension) bins.  Bag-of-words encoding (`encode_many`)
-stacks videos of equal row count into videos x rows x dim blocks of at
-most `_BLOCK_ROWS` rows, so its largest temporary, the block's
-videos x rows x centers distances, is no larger than the points x
-centers array of a fit on that many points; `np.matmul` takes one
-product per video of a block, so each video gets the bits it gets alone.
+k-means labels points with one kernel, `_nearest_centers`: the points
+are lifted once per fit or block to [x, 1], and one product against
+[-2c, |c|^2] scores every center; the argmin of the scores is the
+nearest center, since |x|^2 is the same for all of them, and the
+point's squared distance to it, which k-means++ samples by and the
+inertia sums, is |x|^2 plus its score.  A fit fills one points x
+centers array of scores per assignment step and reuses it, and each
+center update takes every cluster's sums from one `np.bincount` over
+(label, dimension) bins.  Bag-of-words encoding (`encode_many`) stacks
+videos of equal row count into videos x rows x dim blocks of at most
+`_BLOCK_ROWS` rows, so its largest temporary, the block's
+videos x rows x centers scores, is no larger than the points x centers
+array of a fit on that many points; `np.matmul` takes one product per
+video of a block, so each video gets the bits it gets alone.
 
 Nearest neighbors: `distance` compares one encoding with every row of
 a stack.  `shortlist` bounds the rows that can be among the k nearest
@@ -85,8 +91,9 @@ class EncodedVector:
 class Codebook:
     """k-means centers for bag-of-words encoding.
 
-    `inertia_history` records the sum of squared distances to the
-    nearest center after every assignment step (non-increasing).
+    `inertia_history` records, after every assignment step, the sum of
+    the squared distances to the nearest centers that `_nearest_centers`
+    returns (non-increasing up to rounding).
     `converged` is True when the fit stopped on stable labels and False
     when it stopped at `max_iters` (or was read back by `load_model`).
     """
@@ -176,13 +183,11 @@ def _squared_distances(
     centers: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pairwise squared Euclidean distances, points x centers, or
-    videos x points x centers for a stack of point matrices.
+    """Pairwise squared Euclidean distances, points x centers: the
+    all-pairs kernel of `graph.distance_matrix`.
 
-    |x|^2 - 2x.c + |c|^2, clipped at 0, from the points' `_point_terms`
-    (taken once by callers that compare one pool against many centers),
-    built in one points x centers array, `out` if given.  A stack gets
-    one matrix product per matrix, so each gets the bits it gets alone.
+    |x|^2 - 2x.c + |c|^2, clipped at 0, from the points' `_point_terms`,
+    built in one points x centers array, `out` if given.
     """
     twice, norms = terms
     sq = np.matmul(twice, centers.T, out=out)
@@ -191,31 +196,70 @@ def _squared_distances(
     return np.maximum(sq, 0.0, out=sq)
 
 
+def _lifted(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The form `_nearest_centers` takes: the points with a trailing
+    column of ones, points x (dim + 1) or a stack of them, and their
+    squared norms |x|^2."""
+    lifted = np.empty(points.shape[:-1] + (points.shape[-1] + 1,))
+    lifted[..., :-1] = points
+    lifted[..., -1] = 1.0
+    return lifted, np.sum(points**2, axis=-1)
+
+
+def _nearest_centers(
+    lifted: tuple[np.ndarray, np.ndarray],
+    centers: np.ndarray,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest center, ties to the lowest index, and its
+    squared distance to it, for `_lifted` points (one matrix or a stack).
+
+    One product [x, 1].[-2c, |c|^2]^T scores |c|^2 - 2x.c for every
+    center, into `out` if given; |x|^2 is the same for every center, so
+    the argmin needs no more.  The distance is max(|x|^2 + score, 0).
+    A stack gets one matrix product per matrix, so each gets the bits
+    it gets alone.
+    """
+    points, norms = lifted
+    lifted_centers = np.empty((centers.shape[1] + 1, centers.shape[0]))
+    np.multiply(centers.T, -2.0, out=lifted_centers[:-1])
+    lifted_centers[-1] = np.sum(centers**2, axis=-1)
+    scores = np.matmul(points, lifted_centers, out=out)
+    if centers.shape[0] == 1:
+        # Every point's nearest is center 0: the column k-means++ adds
+        # per step needs no search.
+        labels, nearest = np.zeros(scores.shape[:-1], dtype=np.intp), scores[..., 0]
+    else:
+        labels = np.argmin(scores, axis=-1)
+        nearest = np.take_along_axis(scores, labels[..., None], axis=-1)[..., 0]
+    return labels, np.maximum(norms + nearest, 0.0)
+
+
 def _kmeans_pp_init(
     pool: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    terms: tuple[np.ndarray, np.ndarray],
+    lifted: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Seeded k-means++ center selection (D^2 sampling).
+    """Seeded k-means++ center selection (D^2 sampling); `lifted` is the
+    pool `_lifted`.
 
-    `terms` are the pool's `_point_terms`.
+    Raises a ValueError when every point left has distance 0 to a
+    chosen center before k are chosen.
     """
     n = pool.shape[0]
     centers = np.empty((k, pool.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = pool[first]
-    closest = _squared_distances(terms, centers[:1])[:, 0]
+    closest = _nearest_centers(lifted, centers[:1])[1]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
-            # All remaining points coincide with chosen centers; caller
-            # has already verified there are k distinct points.
             raise ValueError("k-means++ exhausted distinct points")
         probs = closest / total
         pick = int(rng.choice(n, p=probs))
         centers[j] = pool[pick]
-        closest = np.minimum(closest, _squared_distances(terms, centers[j : j + 1])[:, 0])
+        closest = np.minimum(closest, _nearest_centers(lifted, centers[j : j + 1])[1])
     return centers
 
 
@@ -230,13 +274,29 @@ def _checked_pool(pool: np.ndarray) -> np.ndarray:
     return pool
 
 
+def _require_distinct(pool: np.ndarray, size: int) -> None:
+    """Raise unless the pool has at least `size` distinct rows."""
+    distinct = np.unique(pool, axis=0).shape[0]
+    if distinct < size:
+        raise ValueError(
+            f"pool has only {distinct} distinct descriptors "
+            f"(duplicates) for {size} centers"
+        )
+
+
 def train_kmeans(
     pool: np.ndarray, size: int, seed: int, max_iters: int = 100
 ) -> Codebook:
     """Fit a codebook with k-means++ seeding and Lloyd's iterations.
 
-    Stops when the hard assignments are stable or after `max_iters`.
-    The recorded inertia sequence is non-increasing.
+    Each assignment step labels every point with its nearest center
+    (ties to the lowest index) and records the inertia, the sum of the
+    squared distances to those centers, both from one
+    `_nearest_centers` product.  Stops when the labels are stable or
+    after `max_iters`.  The recorded inertia sequence is non-increasing
+    up to rounding.  A pool with fewer than `size` distinct rows raises
+    a ValueError; it is counted only when the k-means++ centers are not
+    `size` distinct rows, which they are whenever the pool has enough.
     """
     pool = _checked_pool(pool)
     n = pool.shape[0]
@@ -244,24 +304,22 @@ def train_kmeans(
         raise ValueError(f"codebook size must be >= 1, got {size}")
     if size > n:
         raise ValueError(f"codebook size {size} exceeds pool size {n}")
-    distinct = np.unique(pool, axis=0).shape[0]
-    if distinct < size:
-        raise ValueError(
-            f"pool has only {distinct} distinct descriptors "
-            f"(duplicates) for {size} centers"
-        )
     rng = np.random.default_rng(seed)
-    terms = _point_terms(pool)
-    centers = _kmeans_pp_init(pool, size, rng, terms)
-    sq = np.empty((n, size))
-    rows = np.arange(n)
+    lifted = _lifted(pool)
+    try:
+        centers = _kmeans_pp_init(pool, size, rng, lifted)
+    except ValueError:
+        _require_distinct(pool, size)
+        raise
+    if np.unique(centers, axis=0).shape[0] < size:
+        _require_distinct(pool, size)
+    scores = np.empty((n, size))
     inertia_history: list[float] = []
     labels = None
     converged = False
     for _ in range(max_iters):
-        sq = _squared_distances(terms, centers, out=sq)
-        new_labels = np.argmin(sq, axis=1)
-        inertia_history.append(float(sq[rows, new_labels].sum()))
+        new_labels, sq = _nearest_centers(lifted, centers, out=scores)
+        inertia_history.append(float(sq.sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             converged = True
             break
@@ -319,9 +377,10 @@ def _bow_histograms(codebook: Codebook, sets: list[np.ndarray]) -> list[EncodedV
     descriptor matrix.
 
     Videos of equal row count are stacked into blocks of at most
-    `_BLOCK_ROWS` rows (one video when it alone has more); one argmin
-    labels a block's descriptors and one `np.bincount` of label +
-    video * k counts every histogram of the block.
+    `_BLOCK_ROWS` rows (one video when it alone has more); one
+    `_nearest_centers` call labels a block's descriptors and one
+    `np.bincount` of label + video * k counts every histogram of the
+    block.
     """
     k = codebook.size
     groups: dict[int, list[int]] = {}
@@ -332,10 +391,9 @@ def _bow_histograms(codebook: Codebook, sets: list[np.ndarray]) -> list[EncodedV
         step = max(1, _BLOCK_ROWS // rows)
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
-            block = np.stack([sets[i] for i in chunk])
-            labels = np.argmin(
-                _squared_distances(_point_terms(block), codebook.centers), axis=-1
-            )
+            labels = _nearest_centers(
+                _lifted(np.stack([sets[i] for i in chunk])), codebook.centers
+            )[0]
             labels += np.arange(len(chunk))[:, None] * k
             counts = np.bincount(labels.ravel(), minlength=len(chunk) * k)
             counts = counts.reshape(len(chunk), k)

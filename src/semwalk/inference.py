@@ -6,7 +6,8 @@ visually closest nodes receive reciprocal-distance-normalized mass and
 everything else zero.  Multiplying q by the transition matrix t times
 gives the probability of standing on each training node after t steps;
 summing node mass per semantic class gives the label distribution, and
-the argmax is the predicted class.
+the argmax is the predicted class (`argmax_class`: masses within a
+rounding allowance of the top tie, and ties go to the smallest name).
 
 With t = 0 the pipeline degenerates to reciprocal-distance-weighted
 z-nearest-neighbor voting over classes.
@@ -115,12 +116,23 @@ def markov_walk(A: csc_array, q: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def argmax_class(distribution: dict[str, float]) -> str:
-    """Highest-probability class; exact ties go to the smallest name."""
+def argmax_class(distribution: dict[str, float], t: int = 0, z: int = 1) -> str:
+    """Highest-probability class of a walk of t steps from z start nodes;
+    ties go to the smallest name.
+
+    Classes whose mass is within 4 (t + z) ulps of the top mass (ulps at
+    the top mass) tie.  Masses equal in exact arithmetic come out a few
+    ulps apart, by amounts that depend on the order of the walk's sums
+    (forward, q A^t M, or backward, the rows of C = A^t M) and grow
+    with t and z; the allowance makes them tie in either order.  It is
+    a rounding allowance, not a worst-case error bound, which would
+    also grow with the nodes' degrees.
+    """
     if not distribution:
         raise ValueError("empty class distribution")
     best = max(distribution.values())
-    return min(name for name, p in distribution.items() if p == best)
+    floor = best - 4 * (t + z) * np.spacing(best)
+    return min(name for name, p in distribution.items() if p >= floor)
 
 
 def query_distances(
@@ -216,7 +228,7 @@ def classify_batch(
         # A sum over axis 0 adds the rows one after another, in order.
         sums = (mass[order, None] * table[nearest[order]]).sum(axis=0)
         dist = dict(zip(names, sums.tolist()))
-        out.append((argmax_class(dist), dist))
+        out.append((argmax_class(dist, config.t, config.z), dist))
     return out
 
 

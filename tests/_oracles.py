@@ -196,6 +196,18 @@ def expanded_squared_distances(points, centers):
     return np.maximum(sq, 0.0)
 
 
+def loop_nearest_centers(points, centers):
+    """Each point's nearest center and its squared distance, point by
+    point: the first index of the smallest `expanded_squared_distances`
+    entry in the point's row, and that entry.
+    """
+    sq = expanded_squared_distances(points, centers)
+    labels = np.empty(len(points), dtype=np.intp)
+    for i, row in enumerate(sq.tolist()):
+        labels[i] = min(range(len(row)), key=row.__getitem__)
+    return labels, sq[np.arange(len(points)), labels]
+
+
 def loop_read_descriptor_file(path):
     """Descriptor matrix parsed line by line and token by token with
     `float()`, the reader whose values and error messages the library's

@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 from semwalk.encoding import EncodedVector
 from semwalk.semantics import parse_taxonomy
 
-from _oracles import centred_broadcast_log_gaussians, expanded_squared_distances
+from _oracles import (
+    centred_broadcast_log_gaussians,
+    expanded_squared_distances,
+    loop_nearest_centers,
+)
 
 # Six meanings: one synonym pair, one hyponym child, and a wash family
 # with a synset pair plus a hyponym child.
@@ -64,10 +68,16 @@ def components_major_broadcast(centred, means, variances):
 
 def expanded_distances_from_terms(terms, centers, out=None):
     """`expanded_squared_distances` from `_squared_distances`'s
-    arguments; halving 2x is exact, so this recovers the points.  A
-    videos x rows x dim stack of points gets the oracle per video."""
-    points = terms[0] / 2.0
-    if points.ndim == 3:
-        return np.stack([expanded_squared_distances(p, centers) for p in points])
-    return expanded_squared_distances(points, centers)
+    arguments; halving 2x is exact, so this recovers the points."""
+    return expanded_squared_distances(terms[0] / 2.0, centers)
 
+
+def oracle_nearest_centers(lifted, centers, out=None):
+    """`loop_nearest_centers` from `_nearest_centers`'s arguments: the
+    points are the lifted ones less their column of ones.  A
+    videos x rows x (dim + 1) stack gets the oracle per video."""
+    points = lifted[0][..., :-1]
+    if points.ndim == 3:
+        pairs = [loop_nearest_centers(p, centers) for p in points]
+        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+    return loop_nearest_centers(points, centers)

@@ -114,6 +114,18 @@ class TestEvaluate:
             f"does not match dataset dim 4 of segment 's1' ({tmp_path / 's1.txt'})\n"
         )
 
+    def test_descriptor_byte_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        data = gen(tmp_path, "data")
+        bad = parse_manifest(data / "manifest.tsv").segments[4].descriptor_path
+        lines = bad.read_bytes().count(b"\n")
+        with open(bad, "ab") as fh:
+            fh.write(b"\xff")
+        capsys.readouterr()
+        assert self._evaluate(data, tmp_path / "report.txt") == 1
+        assert capsys.readouterr().err == (
+            f"semwalk: error: {bad}: line {lines + 1}: byte 0xff is not UTF-8\n"
+        )
+
     def test_sample_flag_limits_dataset(self, tmp_path):
         data = gen(tmp_path, "data")
         out = tmp_path / "report.txt"

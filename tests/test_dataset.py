@@ -159,6 +159,26 @@ class TestDescriptorFiles:
         path.write_text("1 3\n1_0 \u0661\u0662 0.25\n", encoding="utf-8")
         assert read_descriptor_file(path).values.tolist() == [[10.0, 12.0, 0.25]]
 
+    @pytest.mark.parametrize(
+        "data,lineno,byte",
+        [
+            (b"\xff2 2\n0.5 1.0\n", 1, 0xFF),
+            (b"2 2\n0.5 1.0\n\n1 2\xff\n", 4, 0xFF),
+            (b"2 2\r\n0.5 1.0\r\xfe 1\n", 3, 0xFE),
+            # A line break counted by str.splitlines alone, and a
+            # multi-byte sequence cut short at the end of the file.
+            (b"2 2\n0.5 1.0\x0c1 1\n\xe2\x82", 4, 0xE2),
+        ],
+        ids=["header", "body", "after-cr", "cut-short"],
+    )
+    def test_byte_not_utf8_names_file_and_line(self, tmp_path, data, lineno, byte):
+        path = tmp_path / "d.txt"
+        path.write_bytes(data)
+        with pytest.raises(
+            ValueError, match=rf"d\.txt: line {lineno}: byte 0x{byte:02x} is not UTF-8$"
+        ):
+            read_descriptor_file(path)
+
     def test_round_trip(self, tmp_path):
         values = np.random.default_rng(0).standard_normal((5, 3))
         path = tmp_path / "d.txt"

@@ -35,10 +35,11 @@ from _oracles import (
     einsum_fisher_gradients,
     expanded_squared_distances,
     full_sort_nearest,
+    loop_nearest_centers,
     mask_update_centers,
     sequential_update_centers,
 )
-from conftest import components_major_broadcast, expanded_distances_from_terms, vec
+from conftest import components_major_broadcast, oracle_nearest_centers, vec
 
 
 def two_clusters(rng, n_per=50, dim=3, gap=20.0, noise=0.5):
@@ -111,6 +112,38 @@ class TestPoolChecks:
         ):
             train(np.repeat(np.eye(3), 5, axis=0), 4, seed=0)
 
+    def test_too_few_distinct_float_rows_rejected(self, train):
+        # A copy of a chosen row is at a distance that can round above 0,
+        # so k-means++ may pick it and return a repeated center.
+        rows = np.random.default_rng(0).standard_normal((3, 5)) * 10.0
+        with pytest.raises(
+            ValueError, match=r"pool has only 3 distinct descriptors \(duplicates\) for 4 centers"
+        ):
+            train(np.repeat(rows, 20, axis=0), 4, seed=0)
+
+    def test_many_duplicates_with_enough_distinct_rows_fit(self, train, monkeypatch):
+        # Six distinct small-integer rows, thirty copies each: distances
+        # are exact, so k-means++ never picks a copy of a chosen row and
+        # the pool's distinct rows are never counted.
+        rng = np.random.default_rng(4)
+        distinct = np.array([[0, 0, 0], [3, 0, 1], [0, 4, 0], [2, 2, 2], [-3, 1, 0], [1, -2, 5]])
+        pool = rng.permutation(np.repeat(distinct.astype(float), 30, axis=0))
+        counted = []
+        require_distinct = encoding._require_distinct
+
+        def counting(pool, size):
+            counted.append(size)
+            return require_distinct(pool, size)
+
+        monkeypatch.setattr(encoding, "_require_distinct", counting)
+        model = train(pool, 6, seed=0)
+        if train is train_kmeans:
+            assert sorted(map(tuple, model.centers)) == sorted(map(tuple, distinct))
+        assert counted == []
+        with pytest.raises(ValueError, match="pool has only 6 distinct descriptors"):
+            train(pool, 7, seed=0)
+        assert counted == [7]
+
 
 class TestKmeans:
     def test_fixed_point_when_pool_equals_centers(self):
@@ -182,13 +215,55 @@ class TestKmeansKernel:
         encoding._squared_distances(terms, centers[-1:], out=column)
         assert np.array_equal(column, expanded_squared_distances(points, centers[-1:]))
 
+    @pytest.mark.parametrize("n,k,dim", [(1, 1, 1), (7, 3, 1), (200, 16, 32), (501, 64, 5)])
+    def test_nearest_centers_match_oracle(self, n, k, dim):
+        rng = np.random.default_rng(n * k)
+        points = rng.standard_normal((n, dim)) * 4.0 + 1.0
+        centers = rng.standard_normal((k, dim)) * 4.0
+        want_labels, want_sq = loop_nearest_centers(points, centers)
+        lifted = encoding._lifted(points)
+        labels, sq = encoding._nearest_centers(lifted, centers)
+        assert np.array_equal(labels, want_labels)
+        np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=1e-12)
+        out = np.empty((n, k))
+        again = encoding._nearest_centers(lifted, centers, out=out)
+        assert np.array_equal(again[0], labels) and again[1].tobytes() == sq.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(np.int8, st.tuples(st.integers(1, 12), st.integers(1, 4)), elements=st.integers(-3, 3)),
+        hnp.arrays(np.int8, st.tuples(st.integers(1, 8), st.integers(1, 4)), elements=st.integers(-3, 3)),
+    )
+    def test_ties_go_to_the_lowest_index(self, points, centers):
+        # Small integers make every product and sum exact, so equal
+        # distances are common and only the tie rule decides the labels.
+        dim = min(points.shape[1], centers.shape[1])
+        points, centers = points[:, :dim].astype(float), centers[:, :dim].astype(float)
+        labels, sq = encoding._nearest_centers(encoding._lifted(points), centers)
+        want_labels, want_sq = loop_nearest_centers(points, centers)
+        assert labels.tolist() == want_labels.tolist()
+        assert sq.tolist() == want_sq.tolist()
+        exact = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        for row, label in zip(exact, labels):
+            assert label == np.flatnonzero(row == row.min())[0]
+
     def test_training_bit_equal_to_expanded_form(self, monkeypatch):
         pool = np.random.default_rng(12).standard_normal((400, 6)) * 3.0
         fast = train_kmeans(pool, 12, seed=4)
-        monkeypatch.setattr(encoding, "_squared_distances", expanded_distances_from_terms)
+        calls = []
+
+        def oracle(lifted, centers, out=None):
+            calls.append(centers.shape[0])
+            return oracle_nearest_centers(lifted, centers, out)
+
+        monkeypatch.setattr(encoding, "_nearest_centers", oracle)
         slow = train_kmeans(pool, 12, seed=4)
-        assert np.array_equal(fast.centers, slow.centers)
-        assert fast.inertia_history == slow.inertia_history
+        # k-means++ takes one column per center after the first, then
+        # every assignment step one call against all 12.
+        assert calls == [1] * 12 + [12] * len(slow.inertia_history)
+        assert fast.centers.tobytes() == slow.centers.tobytes()
+        assert len(fast.inertia_history) == len(slow.inertia_history)
+        np.testing.assert_allclose(fast.inertia_history, slow.inertia_history, rtol=1e-12, atol=0)
 
 
 class TestKmeansUpdate:
@@ -298,25 +373,26 @@ class TestBowBlocks:
         rng = np.random.default_rng(k)
         sets = _bow_sets(rng)
         book = Codebook(centers=rng.standard_normal((k, 32)) * 3.0, inertia_history=[])
-        squared_distances = encoding._squared_distances
+        nearest_centers = encoding._nearest_centers
         blocks = []
 
-        def recording(terms, centers, out=None):
-            sq = squared_distances(terms, centers, out)
-            blocks.append((terms[0] / 2.0, sq.copy()))
-            return sq
+        def recording(lifted, centers, out=None):
+            labels, sq = nearest_centers(lifted, centers, out)
+            blocks.append((lifted[0][..., :-1].copy(), labels.copy(), sq.copy()))
+            return labels, sq
 
-        monkeypatch.setattr(encoding, "_squared_distances", recording)
+        monkeypatch.setattr(encoding, "_nearest_centers", recording)
         encode_many(book, sets)
-        assert sum(len(points) for points, _ in blocks) == len(sets)
-        assert max(len(points) for points, _ in blocks) > 1
-        for points, sq in blocks:
+        assert sum(len(points) for points, _, _ in blocks) == len(sets)
+        assert max(len(points) for points, _, _ in blocks) > 1
+        for points, labels, sq in blocks:
             assert points.ndim == 3 and len(points) * points.shape[1] <= max(
                 encoding._BLOCK_ROWS, points.shape[1]
             )
-            for video, got in zip(points, sq):
-                want = squared_distances(encoding._point_terms(video), book.centers)
-                assert got.tobytes() == want.tobytes()
+            for video, got_labels, got_sq in zip(points, labels, sq):
+                want_labels, want_sq = nearest_centers(encoding._lifted(video), book.centers)
+                assert got_labels.tobytes() == want_labels.tobytes()
+                assert got_sq.tobytes() == want_sq.tobytes()
 
     @pytest.mark.parametrize("kind", [BOW, FV])
     def test_encode_many_equals_encode_one_by_one(self, kind):

@@ -31,7 +31,11 @@ from _oracles import (
     loop_read_descriptor_file,
     mask_update_centers,
 )
-from conftest import components_major_broadcast, expanded_distances_from_terms
+from conftest import (
+    components_major_broadcast,
+    expanded_distances_from_terms,
+    oracle_nearest_centers,
+)
 
 SMALL_SPEC = SyntheticSpec(
     clusters=3,
@@ -462,9 +466,15 @@ class TestOracleKernels:
         # A fresh parse has an empty descriptor cache, so the loop reader
         # loads every descriptor the oracle run uses.
         ds = parse_manifest(manifest_path)
-        monkeypatch.setattr(semwalk.encoding, "_squared_distances", expanded_distances_from_terms)
-        # graph.py holds its own name for the kernel; count its calls so
-        # that a sembed run that never reaches the oracle fails.
+        # Count the oracle calls, so that a run the swap never reaches fails.
+        kmeans_calls = []
+
+        def nearest_centers(lifted, centers, out=None):
+            kmeans_calls.append(lifted[0].ndim)
+            return oracle_nearest_centers(lifted, centers, out)
+
+        monkeypatch.setattr(semwalk.encoding, "_nearest_centers", nearest_centers)
+        # graph.py holds its own name for its kernel.
         graph_calls = []
 
         def graph_distances(terms, centers, out=None):
@@ -486,6 +496,10 @@ class TestOracleKernels:
         assert shipped.accuracy == oracle.accuracy < 1.0
         assert len(read) == len(ds)
         assert len(graph_calls) == (len(ds.persons()) if method == "sembed" else 0)
+        # Every fold fits k-means (bow, or the start of EM); bow also
+        # encodes its videos in stacked blocks.
+        assert kmeans_calls.count(2) > len(ds.persons())
+        assert (3 in kmeans_calls) == (encoding_name == "bow")
 
 
 class TestReportFile:

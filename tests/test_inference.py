@@ -244,6 +244,16 @@ class TestClassDistribution:
         table = class_distribution(g, normalize_transitions(g), 0, classes)
         assert table.tolist() == [[0, 0, 1], [1, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
 
+    def test_argmax_ties_within_the_rounding_allowance(self):
+        top = 0.5
+        ulp = np.spacing(top)
+        for t, z in [(0, 1), (1, 4), (8, 4)]:
+            allowance = 4 * (t + z)
+            assert argmax_class({"b": top, "a": top - allowance * ulp}, t, z) == "a"
+            assert argmax_class({"b": top, "a": top - (allowance + 1) * ulp}, t, z) == "b"
+            assert argmax_class({"a": top - allowance * ulp, "b": top}, t, z) == "a"
+        assert argmax_class({"b": 0.5, "a": np.nextafter(0.5, 0.0)}) == "a"
+
     def test_argmax_tie_breaks_lexicographically(self):
         assert argmax_class({"b": 0.5, "a": 0.5}) == "a"
         assert argmax_class({"b": 0.6, "a": 0.4}) == "b"
@@ -293,9 +303,9 @@ class TestClassMasses:
             )
             want = forward_class_distribution(g, A, classes, starts, 0)
             got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=0))
-            assert got == [(argmax_class(dist), dist) for dist in want]
+            assert got == [(argmax_class(dist, 0, z), dist) for dist in want]
 
-    @pytest.mark.parametrize("z,t", [(1, 0), (2, 0), (4, 0), (2, 1), (4, 3), (6, 8)])
+    @pytest.mark.parametrize("z,t", [(z, t) for z in (1, 2, 4, 6) for t in (0, 1, 3, 8)])
     def test_tie_heavy_argmax_matches_forward_walk(self, z, t):
         # Each point carries two nodes of different classes, so queries
         # meet equal distances and classes of equal mass.
@@ -310,7 +320,44 @@ class TestClassMasses:
         )
         want = forward_class_distribution(g, A, classes, starts, t)
         got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
-        assert [label for label, _dist in got] == [argmax_class(dist) for dist in want]
+        assert [label for label, _dist in got] == [argmax_class(dist, t, z) for dist in want]
+
+    def test_random_tie_heavy_graphs_give_one_class_in_both_orders(self):
+        # Two nodes per grid point and queries on the half grid: many
+        # classes tie in exact arithmetic and round apart in one order.
+        rng = np.random.default_rng(16)
+        for _ in range(150):
+            points = np.unique(rng.integers(0, 3, size=(int(rng.integers(2, 6)), 2)), axis=0)
+            labels = ["abc"[int(rng.integers(3))] for _ in range(2 * len(points))]
+            g = make_graph(np.repeat(points.astype(float), 2, axis=0), labels)
+            A = normalize_transitions(g)
+            classes = semantic_classes(None, set(labels), VERB)
+            queries = [vec(q) for q in rng.integers(0, 5, size=(4, 2)) / 2.0]
+            for z in (1, 2, 4, 6):
+                starts = np.column_stack(
+                    [embed_query(g, distance(q, g.vector_matrix), z) for q in queries]
+                )
+                for t in (1, 3, 8):
+                    want = forward_class_distribution(g, A, classes, starts, t)
+                    got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
+                    assert [label for label, _ in got] == [argmax_class(d, t, z) for d in want]
+
+    def test_tie_rounded_apart_gives_one_class_in_both_orders(self):
+        # Found by a seeded search: a and c tie in exact arithmetic, and
+        # the backward table rounds a below c while the forward walk
+        # rounds them equal.  Exact comparison answered c and a.
+        g = make_graph(
+            [[0.0, 1.0], [0.0, 1.0], [1.0, 2.0], [1.0, 2.0], [2.0, 2.0], [2.0, 2.0]],
+            ["a", "b", "a", "a", "c", "c"],
+        )
+        A = normalize_transitions(g)
+        classes = semantic_classes(None, {"a", "b", "c"}, VERB)
+        query = vec([1.5, 2.0])
+        start = embed_query(g, distance(query, g.vector_matrix), 4)[:, None]
+        forward = forward_class_distribution(g, A, classes, start, 1)[0]
+        [(label, backward)] = classify_batch(g, A, None, VERB, [query], WalkConfig(z=4, t=1))
+        assert forward["a"] == forward["c"] and backward["a"] < backward["c"]
+        assert label == argmax_class(forward, 1, 4) == "a"
 
     @pytest.mark.parametrize("z,t", [(1, 0), (3, 2), (40, 8)])
     def test_query_alone_equals_in_any_batch(self, z, t):
@@ -462,7 +509,7 @@ class TestClassify:
         assert np.allclose(q_base, q_scaled, atol=1e-9)
         classes = semantic_classes(None, set(labels), VERB)
         dist = forward_class_distribution(g, A, classes, q_scaled[:, None], 2)[0]
-        assert argmax_class(dist) == label
+        assert argmax_class(dist, 2, 3) == label
 
 
 def random_walk_case(rng):
@@ -538,7 +585,7 @@ class TestBatch:
             got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
             # The backward walk adds in another order: equal predictions,
             # distributions equal up to rounding.
-            assert [label for label, _dist in got] == [argmax_class(d) for d in expected]
+            assert [label for label, _dist in got] == [argmax_class(d, t, z) for d in expected]
             for (_label, dist), want in zip(got, expected):
                 assert list(dist) == list(want)
                 np.testing.assert_allclose(
