@@ -19,10 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from . import encoding, evaluation, graph, inference, semantics
-from .dataset import Dataset, annotation_for, atomic_write_text, parse_manifest, sample_segments
+from .dataset import (
+    Dataset, annotation_for, atomic_write_text, parse_manifest, read_lines, sample_segments,
+)
 
 _DEFAULTS: dict[str, object] = {"mode": semantics.VERB, "method": evaluation.SEMBED}
 
@@ -69,18 +70,18 @@ class CliError(Exception):
 
 
 def _load_config_file(path: str) -> dict[str, tuple[str, str]]:
-    """Option destination -> (``path:line: key`` of the setting, raw value)."""
+    """Option destination -> (``path: line N: key`` of the setting, raw value)."""
     values: dict[str, tuple[str, str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_lines(path)[0], 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise CliError(f"{path}: line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        values[_DEST.get(key, key)] = (f"{path}:{lineno}: {key}", value)
+            raise CliError(f"{path}: line {lineno}: unknown key {key!r}")
+        values[_DEST.get(key, key)] = (f"{path}: line {lineno}: {key}", value)
     return values
 
 
@@ -248,7 +249,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 
 def _int_list(text: str, where: str | None = None) -> list[int]:
-    """The integers of a comma-separated list; `where` (``path:line: key``)
+    """The integers of a comma-separated list; `where` (``path: line N: key``)
     prefixes the error for a list read from a config file."""
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]

@@ -122,20 +122,28 @@ class Dataset:
         return self._store.load(segment)
 
 
-def _utf8_text(path: Path) -> str:
-    """A file's text, or a ValueError naming the file and the line of its
-    first byte that is not UTF-8, lines counted as `str.splitlines`
-    counts them."""
-    data = path.read_bytes()
+def read_lines(path: str | Path) -> tuple[list[str], bool]:
+    r"""A UTF-8 text file's lines without their ends, and whether its last
+    line has one; every input file is read here.
+
+    A line ends at ``\n``, ``\r`` or ``\r\n``, as iterating an open text
+    file ends it.  A byte that is not UTF-8 raises a ValueError naming the
+    file and its line, 1 plus the line ends before it.
+    """
+    data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text, bad = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
-        # The bytes before the bad one decode; a sentinel after them
-        # stands for the line the bad byte is on.
-        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
-        raise ValueError(
-            f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8"
-        ) from None
+        text, bad = data[: exc.start].decode("utf-8"), exc.start
+    if "\r" in text:  # most files have none, and the "\r\n" search is slow
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if bad is not None:
+        raise ValueError(f"{path}: line {len(lines)}: byte 0x{data[bad]:02x} is not UTF-8")
+    ended = not lines[-1]
+    if ended:
+        lines.pop()
+    return lines, ended
 
 
 def read_descriptor_file(path: str | Path) -> DescriptorSet:
@@ -149,7 +157,7 @@ def read_descriptor_file(path: str | Path) -> DescriptorSet:
     raises a ValueError naming the file and its line.
     """
     path = Path(path)
-    lines = _utf8_text(path).splitlines()
+    lines, _ = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty descriptor file")
     header = lines[0].split()
@@ -227,42 +235,40 @@ def parse_manifest(path: str | Path) -> Dataset:
     base = path.parent
     segments: list[VideoSegment] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}"
-                )
-            segment_id, person_id, verb, meaning, descriptor = (f.strip() for f in fields)
-            if not segment_id or not person_id or not verb or not descriptor:
-                raise ValueError(f"{path}:{lineno}: empty field in manifest line")
-            if segment_id in seen:
-                raise ValueError(
-                    f"{path}: duplicate segment_id {segment_id!r} "
-                    f"at lines {seen[segment_id]} and {lineno}"
-                )
-            seen[segment_id] = lineno
-            if meaning == "-":
-                parsed_meaning = None
-            else:
-                try:
-                    parse_meaning_id(meaning)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                parsed_meaning = meaning
-            segments.append(
-                VideoSegment(
-                    segment_id=segment_id,
-                    person_id=person_id,
-                    verb=verb,
-                    meaning=parsed_meaning,
-                    descriptor_path=base / descriptor,
-                )
+    for lineno, line in enumerate(read_lines(path)[0], start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
             )
+        segment_id, person_id, verb, meaning, descriptor = (f.strip() for f in fields)
+        if not segment_id or not person_id or not verb or not descriptor:
+            raise ValueError(f"{path}: line {lineno}: empty field in manifest line")
+        if segment_id in seen:
+            raise ValueError(
+                f"{path}: duplicate segment_id {segment_id!r} "
+                f"at lines {seen[segment_id]} and {lineno}"
+            )
+        seen[segment_id] = lineno
+        if meaning == "-":
+            parsed_meaning = None
+        else:
+            try:
+                parse_meaning_id(meaning)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            parsed_meaning = meaning
+        segments.append(
+            VideoSegment(
+                segment_id=segment_id,
+                person_id=person_id,
+                verb=verb,
+                meaning=parsed_meaning,
+                descriptor_path=base / descriptor,
+            )
+        )
     if not segments:
         raise ValueError(f"{path}: empty manifest")
     return Dataset(segments=segments)

@@ -32,8 +32,8 @@ nearest center, since |x|^2 is the same for all of them, and the
 point's squared distance to it, which k-means++ samples by and the
 inertia sums, is |x|^2 plus its score.  A fit fills one points x
 centers array of scores per assignment step and reuses it, and each
-center update takes every cluster's sums from one `np.bincount` over
-(label, dimension) bins.  Bag-of-words encoding (`encode_many`) stacks
+center update takes every cluster's sums from one `np.bincount` per
+dimension, over the pool stored dim x points.  Bag-of-words encoding (`encode_many`) stacks
 videos of equal row count into videos x rows x dim blocks of at most
 `_BLOCK_ROWS` rows, so its largest temporary, the block's
 videos x rows x centers scores, is no larger than the points x centers
@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import atomic_write_text
+from .dataset import atomic_write_text, read_lines
 
 BOW = "bow"
 FV = "fv"
@@ -305,7 +305,7 @@ def train_kmeans(
     if size > n:
         raise ValueError(f"codebook size {size} exceeds pool size {n}")
     rng = np.random.default_rng(seed)
-    lifted = _lifted(pool)
+    lifted, columns = _lifted(pool), np.ascontiguousarray(pool.T)
     try:
         centers = _kmeans_pp_init(pool, size, rng, lifted)
     except ValueError:
@@ -324,27 +324,28 @@ def train_kmeans(
             converged = True
             break
         labels = new_labels
-        _update_centers(pool, labels, centers)
+        _update_centers(columns, labels, centers)
     return Codebook(
         centers=centers, inertia_history=inertia_history, converged=converged
     )
 
 
-def _update_centers(pool: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
-    """Move each center to the mean of the points labelled with it, in place.
+def _update_centers(columns: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
+    """Move each center to the mean of the points labelled with it, in place;
+    `columns` is the pool stored dim x points.
 
-    One weighted `np.bincount` over the flat (label, dimension) bins sums
-    every cluster's members in pool order, and each sum is divided by
-    its member count.  For dim >= 2 that is numpy's `mean(axis=0)` of
-    the members bit for bit, which adds rows in order too; at dim 1
-    numpy sums pairwise, so the means differ from it in the last bits.
-    An empty cluster keeps its previous center; inertia is unaffected
-    since no point is assigned to it.
+    One weighted `np.bincount` per dimension sums every cluster's members
+    in pool order, and each sum is divided by its member count.  For
+    dim >= 2 that is numpy's `mean(axis=0)` of the members bit for bit,
+    which adds rows in order too; at dim 1 numpy sums pairwise, so the
+    means differ from it in the last bits.  An empty cluster keeps its
+    previous center; inertia is unaffected since no point is assigned to it.
     """
-    k, dim = centers.shape
+    k = centers.shape[0]
     counts = np.bincount(labels, minlength=k)
-    bins = (labels[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(bins, weights=pool.ravel(), minlength=k * dim).reshape(k, dim)
+    sums = np.empty_like(centers)
+    for d, column in enumerate(columns):
+        sums[:, d] = np.bincount(labels, weights=column, minlength=k)
     filled = counts > 0
     centers[filled] = sums[filled] / counts[filled, None]
 
@@ -701,16 +702,15 @@ def load_model(path: str | Path) -> Codebook | GmmModel:
     """Read a model file written by save_model.
 
     Raises a ValueError naming the file, and the line where there is
-    one, for a last line without its newline (save_model ends every
+    one, for a last line without its line end (save_model ends every
     line with one, so the file was cut short), a malformed header or
     body, a non-numeric or non-finite value, a variance <= 0, or
     mixture weights that are not all positive or do not sum to 1
     within 1e-9.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if text and not text.endswith("\n"):
+    lines, ended = read_lines(path)
+    if not ended:
         raise ValueError(f"{path}: line {len(lines)}: no newline after {lines[-1]!r}")
     numbered = [(lineno, ln) for lineno, ln in enumerate(lines, 1) if ln.strip()]
     if not numbered:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import csc_array
 
 from . import semantics
-from .dataset import atomic_write_text
+from .dataset import atomic_write_text, read_lines
 from .encoding import DISTANCE_EPSILON, EncodedVector, stack
 from .encoding import _point_terms, _squared_distances
 
@@ -232,8 +232,8 @@ def save_graph(graph: SvgGraph, path: str | Path) -> None:
     undirected edges as `i j weight tag` sorted by (i, j).  The dump is
     deterministic, diffable, and sufficient to rebuild the structure
     (vectors are not stored; re-encode to re-attach them).  A segment id
-    with whitespace, or an annotation with a line break, would not read
-    back as written, so either raises a ValueError naming the node.
+    with whitespace, or an annotation with any character `str.splitlines`
+    breaks at (line ends among them), raises a ValueError naming the node.
     """
     lines = [f"nodes {len(graph.nodes)} mode {graph.mode} m {graph.m}"]
     for idx, node in enumerate(graph.nodes):
@@ -276,7 +276,7 @@ def load_graph(path: str | Path) -> SvgGraph:
     the graph holds each edge once, in canonical (i, j) order.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines, _ = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     header = lines[0].split()

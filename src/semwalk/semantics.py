@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import parse_meaning_id
+from .dataset import parse_meaning_id, read_lines
 
 VERB = "verb"
 AM = "am"
@@ -70,36 +70,34 @@ def parse_taxonomy(path: str | Path) -> Taxonomy:
     path = Path(path)
     meanings: dict[str, Meaning] = {}
     lines_seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            meaning_id, synset_id, parent = (f.strip() for f in fields)
-            try:
-                parse_meaning_id(meaning_id)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if meaning_id in meanings:
-                raise ValueError(
-                    f"{path}: duplicate meaning_id {meaning_id!r} "
-                    f"at lines {lines_seen[meaning_id]} and {lineno}"
-                )
-            lines_seen[meaning_id] = lineno
-            meanings[meaning_id] = Meaning(
-                meaning_id=meaning_id,
-                synset_id=synset_id,
-                parent=None if parent == "-" else parent,
+    for lineno, line in enumerate(read_lines(path)[0], start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
+        meaning_id, synset_id, parent = (f.strip() for f in fields)
+        try:
+            parse_meaning_id(meaning_id)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if meaning_id in meanings:
+            raise ValueError(
+                f"{path}: duplicate meaning_id {meaning_id!r} "
+                f"at lines {lines_seen[meaning_id]} and {lineno}"
+            )
+        lines_seen[meaning_id] = lineno
+        meanings[meaning_id] = Meaning(
+            meaning_id=meaning_id,
+            synset_id=synset_id,
+            parent=None if parent == "-" else parent,
+        )
     for meaning in meanings.values():
         if meaning.parent is not None and meaning.parent not in meanings:
             raise ValueError(
-                f"{path}:{lines_seen[meaning.meaning_id]}: meaning "
+                f"{path}: line {lines_seen[meaning.meaning_id]}: meaning "
                 f"{meaning.meaning_id!r} references undefined parent {meaning.parent!r}"
             )
     # Parent links must form a forest: walking up from any meaning
@@ -110,7 +108,8 @@ def parse_taxonomy(path: str | Path) -> Taxonomy:
         while node is not None:
             if node in visited:
                 raise ValueError(
-                    f"{path}:{lines_seen[meaning_id]}: cycle in parent chain through {meaning_id!r}"
+                    f"{path}: line {lines_seen[meaning_id]}: "
+                    f"cycle in parent chain through {meaning_id!r}"
                 )
             visited.add(node)
             node = meanings[node].parent

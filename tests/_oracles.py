@@ -214,7 +214,7 @@ def loop_read_descriptor_file(path):
     one-call parse must reproduce.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = [line.rstrip("\n") for line in fh]
     if not lines:
         raise ValueError(f"{path}: empty descriptor file")
     header = lines[0].split()
@@ -257,7 +257,7 @@ def loop_read_descriptor_file(path):
 
 def mask_update_centers(pool, labels, centers):
     """k-means center update with one boolean mask per center, in place,
-    the form whose bits the library's sorted-slice update must reproduce.
+    the form whose bits the library's bincount update must reproduce.
     """
     for j in range(centers.shape[0]):
         members = pool[labels == j]

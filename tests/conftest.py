@@ -9,6 +9,7 @@ from _oracles import (
     centred_broadcast_log_gaussians,
     expanded_squared_distances,
     loop_nearest_centers,
+    mask_update_centers,
 )
 
 # Six meanings: one synonym pair, one hyponym child, and a wash family
@@ -70,6 +71,12 @@ def expanded_distances_from_terms(terms, centers, out=None):
     """`expanded_squared_distances` from `_squared_distances`'s
     arguments; halving 2x is exact, so this recovers the points."""
     return expanded_squared_distances(terms[0] / 2.0, centers)
+
+
+def columns_mask_update_centers(columns, labels, centers):
+    """`mask_update_centers` from `_update_centers`'s arguments: the
+    pool stored dim x points, transposed back to points x dim."""
+    mask_update_centers(np.ascontiguousarray(columns.T), labels, centers)
 
 
 def oracle_nearest_centers(lifted, centers, out=None):

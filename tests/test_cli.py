@@ -227,14 +227,61 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code, config = self._evaluate(tmp_path, "method=knn\n\ngama=4\n")
         assert code == 2
-        assert f"{config}:3: unknown key 'gama'" in capsys.readouterr().err
+        assert f"{config}: line 3: unknown key 'gama'" in capsys.readouterr().err
 
     def test_bad_value_names_file_line_and_key(self, tmp_path, capsys):
         code, config = self._evaluate(tmp_path, "# budget\nm=abc\n")
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{config}:2: m: expected int, got 'abc'" in err
+        assert f"{config}: line 2: m: expected int, got 'abc'" in err
         assert err.count("\n") == 1
+
+
+class TestInputNotUtf8:
+    """Each loader, reached through the command that reads its file,
+    names the file and the line of a byte that is not UTF-8."""
+
+    @pytest.mark.parametrize("target", ["manifest", "taxonomy", "model", "graph", "config"])
+    def test_names_file_and_line(self, tmp_path, capsys, target):
+        data = gen(tmp_path, "data")
+        files = {
+            "manifest": data / "manifest.tsv",
+            "taxonomy": data / "taxonomy.tsv",
+            "model": tmp_path / "model.txt",
+            "graph": tmp_path / "graph.txt",
+            "config": tmp_path / "run.cfg",
+        }
+        manifest, taxonomy, model, graph_file, config = map(str, files.values())
+        assert dispatch(
+            ["encode", "--manifest", manifest, "--encoding", "bow", "--gamma", "4",
+             "--out", model]
+        ) == 0
+        assert dispatch(
+            ["build-graph", "--manifest", manifest, "--mode", "verb", "--model", model,
+             "--out", graph_file]
+        ) == 0
+        files["config"].write_text("# walk\nz=2\n", encoding="utf-8")
+        out = str(tmp_path / "out.txt")
+        argv = {
+            "manifest": ["evaluate", "--manifest", manifest, "--method", "knn",
+                         "--gamma", "4", "--out", out],
+            "taxonomy": ["build-graph", "--manifest", manifest, "--taxonomy", taxonomy,
+                         "--mode", "as", "--model", model, "--out", out],
+            "model": ["classify", "--graph", graph_file, "--manifest", manifest,
+                      "--model", model, "--queries", manifest, "--out", out],
+            "graph": ["classify", "--graph", graph_file, "--manifest", manifest,
+                      "--model", model, "--queries", manifest, "--out", out],
+            "config": ["evaluate", "--config", config, "--manifest", manifest, "--out", out],
+        }[target]
+        bad = files[target]
+        text = bad.read_bytes()
+        second = text.index(b"\n") + 1
+        bad.write_bytes(text[:second] + b"\xff" + text[second:])
+        capsys.readouterr()
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            f"semwalk: error: {bad}: line 2: byte 0xff is not UTF-8\n"
+        )
 
 
 class TestClassifyFlow:
@@ -461,7 +508,7 @@ class TestSweep:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            f"semwalk: error: {config}:1: z: expected a comma-separated integer list, "
+            f"semwalk: error: {config}: line 1: z: expected a comma-separated integer list, "
             "got '1,x'\n"
         )
 

@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from semwalk.dataset import (
     parse_manifest,
     parse_meaning_id,
     read_descriptor_file,
+    read_lines,
     sample_segments,
     split_lopo,
     write_descriptor_file,
@@ -49,7 +51,7 @@ class TestParseManifest:
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("a\tp0\tput\ta.txt\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r":1: expected 5"):
+        with pytest.raises(ValueError, match=r": line 1: expected 5"):
             parse_manifest(path)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
@@ -78,7 +80,7 @@ class TestParseManifest:
             tmp_path / "m.tsv",
             [("a", "p0", "put", "put.v.1", "a.txt"), ("b", "p0", "put", "putv1", "b.txt")],
         )
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed meaning id 'putv1'")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: malformed meaning id 'putv1'")):
             parse_manifest(path)
 
     def test_idempotent(self, tmp_path):
@@ -165,9 +167,9 @@ class TestDescriptorFiles:
             (b"\xff2 2\n0.5 1.0\n", 1, 0xFF),
             (b"2 2\n0.5 1.0\n\n1 2\xff\n", 4, 0xFF),
             (b"2 2\r\n0.5 1.0\r\xfe 1\n", 3, 0xFE),
-            # A line break counted by str.splitlines alone, and a
-            # multi-byte sequence cut short at the end of the file.
-            (b"2 2\n0.5 1.0\x0c1 1\n\xe2\x82", 4, 0xE2),
+            # A form feed, which does not end a line, and a multi-byte
+            # sequence cut short at the end of the file.
+            (b"2 2\n0.5 1.0\x0c1 1\n\xe2\x82", 3, 0xE2),
         ],
         ids=["header", "body", "after-cr", "cut-short"],
     )
@@ -379,7 +381,46 @@ class TestManifestProperties:
             assert message.startswith(f"{path}: duplicate segment_id")
             assert message.endswith(f"at lines {linenos[first]} and {linenos[r]}")
         else:
-            assert message.startswith(f"{path}:{linenos[r]}: ")
+            assert message.startswith(f"{path}: line {linenos[r]}: ")
+
+
+# The three line ends, characters that str.splitlines also breaks at,
+# and text with a 2-byte UTF-8 character.
+_LINE_PIECES = ["ab", "\u00e9 x", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n", "\r", "\r\n"]
+# Bytes that start no UTF-8 character before any piece: a lone lead or
+# continuation byte, and a multi-byte sequence cut short.
+_NOT_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xe2\x82"]
+
+
+class TestReadLines:
+    @_ONE_FILE
+    @given(pieces=st.lists(st.sampled_from(_LINE_PIECES), max_size=12))
+    def test_lines_as_text_file_iteration_gives_them(self, tmp_path, pieces):
+        path = tmp_path / "t.txt"
+        path.write_bytes("".join(pieces).encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            want = list(fh)
+        lines, ended = read_lines(path)
+        assert lines == [line.rstrip("\n") for line in want]
+        assert ended == (not want or want[-1].endswith("\n"))
+
+    @_ONE_FILE
+    @given(
+        pieces=st.lists(st.sampled_from(_LINE_PIECES), max_size=12),
+        bad=st.sampled_from(_NOT_UTF8),
+        data=st.data(),
+    )
+    def test_bad_byte_line_is_one_plus_line_ends_before_it(self, tmp_path, pieces, bad, data):
+        cut = data.draw(st.integers(0, len(pieces)))
+        before = "".join(pieces[:cut]).encode("utf-8")
+        path = tmp_path / "t.txt"
+        path.write_bytes(before + bad + "".join(pieces[cut:]).encode("utf-8"))
+        ends = sum(
+            line.endswith("\n") for line in io.TextIOWrapper(io.BytesIO(before), encoding="utf-8")
+        )
+        with pytest.raises(ValueError) as info:
+            read_lines(path)
+        assert str(info.value) == f"{path}: line {1 + ends}: byte 0x{bad[0]:02x} is not UTF-8"
 
 
 class TestSplitLopo:

@@ -39,7 +39,12 @@ from _oracles import (
     mask_update_centers,
     sequential_update_centers,
 )
-from conftest import components_major_broadcast, oracle_nearest_centers, vec
+from conftest import (
+    columns_mask_update_centers,
+    components_major_broadcast,
+    oracle_nearest_centers,
+    vec,
+)
 
 
 def two_clusters(rng, n_per=50, dim=3, gap=20.0, noise=0.5):
@@ -276,7 +281,7 @@ class TestKmeansUpdate:
         centers = rng.standard_normal((12, 7))
         want = centers.copy()
         mask_update_centers(pool, labels, want)
-        encoding._update_centers(pool, labels, centers)
+        encoding._update_centers(pool.T.copy(), labels, centers)
         assert centers.tobytes() == want.tobytes()
         assert not np.any(labels == 3) and not np.any(labels == 11)
 
@@ -295,7 +300,7 @@ class TestKmeansUpdate:
             centers = rng.standard_normal((k, dim))
             want = centers.copy()
             mask_update_centers(pool, labels, want)
-            encoding._update_centers(pool, labels, centers)
+            encoding._update_centers(pool.T.copy(), labels, centers)
             assert centers.tobytes() == want.tobytes(), (n, k, dim)
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 32])
@@ -312,13 +317,13 @@ class TestKmeansUpdate:
             centers = rng.standard_normal((k, dim))
             want = centers.copy()
             sequential_update_centers(pool, labels, want)
-            encoding._update_centers(pool, labels, centers)
+            encoding._update_centers(pool.T.copy(), labels, centers)
             assert centers.tobytes() == want.tobytes(), (n, k)
 
     def test_training_bit_equal_to_mask_per_center(self, monkeypatch):
         pool = np.random.default_rng(14).standard_normal((900, 8)) * 2.0
         fast = train_kmeans(pool, 24, seed=3)
-        monkeypatch.setattr(encoding, "_update_centers", mask_update_centers)
+        monkeypatch.setattr(encoding, "_update_centers", columns_mask_update_centers)
         slow = train_kmeans(pool, 24, seed=3)
         assert fast.centers.tobytes() == slow.centers.tobytes()
         assert fast.inertia_history == slow.inertia_history
@@ -999,6 +1004,18 @@ class TestModelFiles:
     def test_weights_not_summing_to_one(self, tmp_path):
         text = self.GMM_TEXT.replace("0.25 0.75", "0.75 0.75")
         self._rejected(tmp_path, text, "weights sum to 1.5")
+
+    def test_carriage_return_ends_a_line_and_form_feed_does_not(self, tmp_path):
+        # Lines end where every loader ends them; only a last line with no
+        # line end at all was cut short, and the error counts lines so.
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"bow 2 2\r1.0 2.5\r3.25\x0c4.125\r")
+        assert np.array_equal(load_model(path).centers, [[1.0, 2.5], [3.25, 4.125]])
+        path.write_bytes(b"bow 2 2\r1.0 2.5\r3.25\x0c4.12")
+        with pytest.raises(
+            ValueError, match=r"model\.txt: line 3: no newline after '3\.25\\x0c4\.12'$"
+        ):
+            load_model(path)
 
     def test_last_line_without_newline_rejected(self, tmp_path):
         # Cutting the last centre short used to load it as 4.0, 4.1 or 4.12.

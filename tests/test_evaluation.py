@@ -29,9 +29,9 @@ from _oracles import (
     loop_rank_global,
     loop_rank_local,
     loop_read_descriptor_file,
-    mask_update_centers,
 )
 from conftest import (
+    columns_mask_update_centers,
     components_major_broadcast,
     expanded_distances_from_terms,
     oracle_nearest_centers,
@@ -484,7 +484,7 @@ class TestOracleKernels:
         monkeypatch.setattr(semwalk.graph, "_squared_distances", graph_distances)
         monkeypatch.setattr(semwalk.inference, "shortlist", full_sort_nearest)
         monkeypatch.setattr(semwalk.baselines, "shortlist", full_sort_nearest)
-        monkeypatch.setattr(semwalk.encoding, "_update_centers", mask_update_centers)
+        monkeypatch.setattr(semwalk.encoding, "_update_centers", columns_mask_update_centers)
         monkeypatch.setattr(semwalk.graph, "rank_global", loop_rank_global)
         monkeypatch.setattr(semwalk.graph, "rank_local", loop_rank_local)
         monkeypatch.setattr(semwalk.graph, "normalize_transitions", loop_normalize_transitions)
