@@ -10,7 +10,11 @@ comments.  Descriptor paths are resolved relative to the manifest's
 directory.  A descriptor file starts with a ``rows dim`` header line
 followed by ``rows`` lines of ``dim`` whitespace-separated finite reals;
 blank lines are skipped.  A malformed file raises a ValueError naming
-the file and, for a bad body line or a byte that is not UTF-8, the line.
+the file and, where there is one, the line.
+
+Every loader in the package reads its file with `read_lines`, and its
+fields with `read_records` (tab-separated records), `parse_count`
+(header counts) and `parse_reals` (rows of reals).
 
 Descriptor loading is lazy: segments only name their file until the
 matrix is first requested, after which it is cached in a store that
@@ -23,6 +27,7 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -146,15 +151,91 @@ def read_lines(path: str | Path) -> tuple[list[str], bool]:
     return lines, ended
 
 
+def read_records(path: str | Path, width: int, key: str) -> Iterator[tuple[int, list[str]]]:
+    """Each tab-separated record of a file as (line number, fields).
+
+    Blank lines and lines starting with ``#`` are skipped, and each field
+    is stripped.  A record without exactly `width` fields or with an
+    empty field, and a first field seen before (named `key` in the
+    message), raise a ValueError naming the file and the line, or both
+    lines.
+    """
+    seen: dict[str, int] = {}
+    for lineno, line in enumerate(read_lines(path)[0], start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split("\t")]
+        if len(fields) != width:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {width} tab-separated fields, got {len(fields)}"
+            )
+        if "" in fields:
+            raise ValueError(f"{path}: line {lineno}: field {fields.index('') + 1} is empty")
+        first = seen.setdefault(fields[0], lineno)
+        if first != lineno:
+            raise ValueError(
+                f"{path}: duplicate {key} {fields[0]!r} at lines {first} and {lineno}"
+            )
+        yield lineno, fields
+
+
+def parse_count(path: str | Path, lineno: int, field: str, what: str, low: int) -> int:
+    """A header count of at least `low`; raises naming the file and line."""
+    try:
+        value = int(field)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: non-integer {what} {field!r}") from None
+    if value < low:
+        raise ValueError(f"{path}: line {lineno}: {what} must be >= {low}, got {value}")
+    return value
+
+
+def parse_reals(path: str | Path, numbered: list[tuple[int, str]], width: int) -> np.ndarray:
+    """One row of `width` finite reals from each (line number, text) pair.
+
+    The rows are parsed in one `np.loadtxt` call.  Rows that call refuses
+    or returns in the wrong shape or with a non-finite value are parsed
+    again one by one with `float()`, which accepts the same tokens and
+    more (``1_0``, non-ASCII digits) and makes every error message,
+    naming the file, the line and the row.  `numbered` is not empty.
+    """
+    try:
+        values = np.loadtxt(
+            [text for _, text in numbered], dtype=np.float64, comments=None, ndmin=2
+        )
+    except ValueError:
+        values = None
+    rows = len(numbered)
+    if values is not None and values.shape == (rows, width) and np.all(np.isfinite(values)):
+        return values
+    values = np.empty((rows, width), dtype=np.float64)
+    for r, (lineno, text) in enumerate(numbered):
+        tokens = text.split()
+        if len(tokens) != width:
+            raise ValueError(
+                f"{path}: line {lineno}: row {r + 1} has {len(tokens)} values, "
+                f"expected {width}"
+            )
+        for c, token in enumerate(tokens):
+            try:
+                values[r, c] = float(token)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: row {r + 1}: non-numeric value {token!r}"
+                ) from None
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{path}: line {numbered[bad[0]][0]}: row {bad[0] + 1}: non-finite value"
+        )
+    return values
+
+
 def read_descriptor_file(path: str | Path) -> DescriptorSet:
     """Parse one descriptor file; rejects short/long bodies and non-finite values.
 
-    The body is parsed in one `np.loadtxt` call.  Any body that call
-    refuses or returns in the wrong shape or with a non-finite value is
-    parsed again line by line with `float()`, which accepts the same
-    tokens and more (``1_0``, non-ASCII digits) and makes every error
-    message, naming the file and the line.  A byte that is not UTF-8
-    raises a ValueError naming the file and its line.
+    The body is read by `parse_reals`.  Every error is a ValueError
+    naming the file and, where there is one, the line.
     """
     path = Path(path)
     lines, _ = read_lines(path)
@@ -162,55 +243,13 @@ def read_descriptor_file(path: str | Path) -> DescriptorSet:
         raise ValueError(f"{path}: empty descriptor file")
     header = lines[0].split()
     if len(header) != 2:
-        raise ValueError(f"{path}: header must be 'rows dim', got {lines[0]!r}")
-    try:
-        rows, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"{path}: non-integer header {lines[0]!r}") from None
-    if rows < 1 or dim < 1:
-        raise ValueError(f"{path}: rows and dim must be >= 1, got {rows}x{dim}")
-    body = [ln for ln in lines[1:] if ln.strip()]
+        raise ValueError(f"{path}: line 1: header must be 'rows dim', got {lines[0]!r}")
+    rows = parse_count(path, 1, header[0], "rows", 1)
+    dim = parse_count(path, 1, header[1], "dim", 1)
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != rows:
         raise ValueError(f"{path}: header declares {rows} rows, body has {len(body)}")
-    try:
-        values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        values = None
-    if values is None or values.shape != (rows, dim) or not np.all(np.isfinite(values)):
-        values = _parse_descriptor_rows(path, lines, rows, dim)
-    return DescriptorSet(values=values)
-
-
-def _parse_descriptor_rows(
-    path: Path, lines: list[str], rows: int, dim: int
-) -> np.ndarray:
-    """The descriptor body token by token; raises at the first bad line."""
-    values = np.empty((rows, dim), dtype=np.float64)
-    linenos = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        r = len(linenos)
-        if len(parts) != dim:
-            raise ValueError(
-                f"{path}: line {lineno}: row {r + 1} has {len(parts)} values, "
-                f"expected {dim}"
-            )
-        for c, token in enumerate(parts):
-            try:
-                values[r, c] = float(token)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: row {r + 1}: non-numeric value {token!r}"
-                ) from None
-        linenos.append(lineno)
-    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
-    if bad.size:
-        raise ValueError(
-            f"{path}: line {linenos[bad[0]]}: row {bad[0] + 1}: non-finite value"
-        )
-    return values
+    return DescriptorSet(values=parse_reals(path, body, dim))
 
 
 def write_descriptor_file(path: str | Path, values: np.ndarray) -> None:
@@ -227,45 +266,27 @@ def parse_manifest(path: str | Path) -> Dataset:
     """Parse a manifest into a Dataset, preserving line order.
 
     Descriptor files are not touched; they load lazily on first use.
-    Raises ValueError naming the file for malformed lines and meaning
-    ids (with the line number), duplicate segment ids (with both line
-    numbers) and empty manifests.
+    Raises ValueError naming the file for what `read_records` rejects
+    (a wrong field count, an empty field, a repeated segment id), for a
+    malformed meaning id (with the line number) and for an empty
+    manifest.
     """
     path = Path(path)
     base = path.parent
     segments: list[VideoSegment] = []
-    seen: dict[str, int] = {}
-    for lineno, line in enumerate(read_lines(path)[0], start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 5 tab-separated fields, got {len(fields)}"
-            )
-        segment_id, person_id, verb, meaning, descriptor = (f.strip() for f in fields)
-        if not segment_id or not person_id or not verb or not descriptor:
-            raise ValueError(f"{path}: line {lineno}: empty field in manifest line")
-        if segment_id in seen:
-            raise ValueError(
-                f"{path}: duplicate segment_id {segment_id!r} "
-                f"at lines {seen[segment_id]} and {lineno}"
-            )
-        seen[segment_id] = lineno
-        if meaning == "-":
-            parsed_meaning = None
-        else:
+    for lineno, fields in read_records(path, 5, "segment_id"):
+        segment_id, person_id, verb, meaning, descriptor = fields
+        if meaning != "-":
             try:
                 parse_meaning_id(meaning)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            parsed_meaning = meaning
         segments.append(
             VideoSegment(
                 segment_id=segment_id,
                 person_id=person_id,
                 verb=verb,
-                meaning=parsed_meaning,
+                meaning=None if meaning == "-" else meaning,
                 descriptor_path=base / descriptor,
             )
         )

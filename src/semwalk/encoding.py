@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import atomic_write_text, read_lines
+from .dataset import atomic_write_text, parse_count, parse_reals, read_lines
 
 BOW = "bow"
 FV = "fv"
@@ -144,7 +144,9 @@ def subsample(
 
     From each video, ceil(fraction * rows) descriptors are drawn
     uniformly without replacement with a generator seeded once, so the
-    pool is deterministic for a fixed seed and input order.
+    pool is deterministic for a fixed seed and input order.  A set that
+    is not 2-D, or whose dim differs from the first set's, raises a
+    ValueError naming its index.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -682,31 +684,15 @@ def save_model(model: Codebook | GmmModel, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_model_row(path: Path, lineno: int, line: str) -> np.ndarray:
-    """One body line of a model file as finite floats."""
-    fields = line.split()
-    row = np.empty(len(fields))
-    for c, field in enumerate(fields):
-        try:
-            row[c] = float(field)
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: non-numeric field {field!r}"
-            ) from None
-    if not np.all(np.isfinite(row)):
-        raise ValueError(f"{path}: line {lineno}: non-finite value")
-    return row
-
-
 def load_model(path: str | Path) -> Codebook | GmmModel:
     """Read a model file written by save_model.
 
     Raises a ValueError naming the file, and the line where there is
     one, for a last line without its line end (save_model ends every
-    line with one, so the file was cut short), a malformed header or
-    body, a non-numeric or non-finite value, a variance <= 0, or
-    mixture weights that are not all positive or do not sum to 1
-    within 1e-9.
+    line with one, so the file was cut short), a malformed header, a
+    body of the wrong size, a bad row of reals (`parse_reals`), a
+    variance <= 0, or mixture weights that are not all positive or do
+    not sum to 1 within 1e-9.
     """
     path = Path(path)
     lines, ended = read_lines(path)
@@ -715,42 +701,31 @@ def load_model(path: str | Path) -> Codebook | GmmModel:
     numbered = [(lineno, ln) for lineno, ln in enumerate(lines, 1) if ln.strip()]
     if not numbered:
         raise ValueError(f"{path}: empty model file")
-    header_line = numbered[0][1]
+    (first, header_line), body = numbered[0], numbered[1:]
     header = header_line.split()
     if len(header) != 3 or header[0] not in (BOW, FV):
-        raise ValueError(f"{path}: bad model header {header_line!r}")
+        raise ValueError(f"{path}: line {first}: bad model header {header_line!r}")
     kind = header[0]
-    try:
-        gamma, dim = int(header[1]), int(header[2])
-    except ValueError:
-        raise ValueError(f"{path}: non-integer model header {header_line!r}") from None
-    if gamma < 1 or dim < 1:
-        raise ValueError(f"{path}: model sizes must be >= 1, got {gamma}x{dim}")
-    linenos = [lineno for lineno, _ in numbered[1:]]
-    body = [_parse_model_row(path, lineno, ln) for lineno, ln in numbered[1:]]
+    gamma = parse_count(path, first, header[1], "gamma", 1)
+    dim = parse_count(path, first, header[2], "dim", 1)
+    declared = gamma if kind == BOW else 1 + 2 * gamma
+    if len(body) != declared:
+        raise ValueError(f"{path}: header declares {declared} rows, body has {len(body)}")
     if kind == BOW:
-        if len(body) != gamma or any(row.shape[0] != dim for row in body):
-            raise ValueError(f"{path}: codebook body does not match header")
-        return Codebook(centers=np.vstack(body), inertia_history=[])
-    if len(body) != 1 + 2 * gamma:
-        raise ValueError(f"{path}: mixture body does not match header")
-    weights = body[0]
-    if weights.shape[0] != gamma:
-        raise ValueError(f"{path}: expected {gamma} weights, got {weights.shape[0]}")
-    if any(row.shape[0] != dim for row in body[1:]):
-        raise ValueError(f"{path}: mixture rows do not match header dims")
+        return Codebook(centers=parse_reals(path, body, dim), inertia_history=[])
+    weights = parse_reals(path, body[:1], gamma)[0]
+    means_and_variances = parse_reals(path, body[1:], dim)
+    means, variances = means_and_variances[:gamma], means_and_variances[gamma:]
     if np.any(weights <= 0.0):
-        raise ValueError(f"{path}: line {linenos[0]}: mixture weights must be > 0")
+        raise ValueError(f"{path}: line {body[0][0]}: mixture weights must be > 0")
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(
-            f"{path}: line {linenos[0]}: mixture weights sum to {total!r}, not 1"
+            f"{path}: line {body[0][0]}: mixture weights sum to {total!r}, not 1"
         )
-    means = np.vstack(body[1 : 1 + gamma])
-    variances = np.vstack(body[1 + gamma :])
     bad_rows = np.flatnonzero(np.any(variances <= 0.0, axis=1))
     if bad_rows.size:
-        lineno = linenos[1 + gamma + bad_rows[0]]
+        lineno = body[1 + gamma + bad_rows[0]][0]
         raise ValueError(f"{path}: line {lineno}: variances must be > 0")
     return GmmModel(
         weights=weights, means=means, variances=variances, log_likelihood_history=[]

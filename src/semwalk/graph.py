@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import csc_array
 
 from . import semantics
-from .dataset import atomic_write_text, read_lines
+from .dataset import atomic_write_text, parse_count, read_lines
 from .encoding import DISTANCE_EPSILON, EncodedVector, stack
 from .encoding import _point_terms, _squared_distances
 
@@ -233,8 +233,11 @@ def save_graph(graph: SvgGraph, path: str | Path) -> None:
     deterministic, diffable, and sufficient to rebuild the structure
     (vectors are not stored; re-encode to re-attach them).  A segment id
     with whitespace, or an annotation with any character `str.splitlines`
-    breaks at (line ends among them), raises a ValueError naming the node.
+    breaks at (line ends among them), raises a ValueError naming the node,
+    and a relation mode `load_graph` does not know raises one naming it.
     """
+    if graph.mode not in semantics.MODES:
+        raise ValueError(f"unknown relation mode {graph.mode!r}")
     lines = [f"nodes {len(graph.nodes)} mode {graph.mode} m {graph.m}"]
     for idx, node in enumerate(graph.nodes):
         if any(ch.isspace() for ch in node.segment_id):
@@ -252,25 +255,15 @@ def save_graph(graph: SvgGraph, path: str | Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _header_count(path: Path, lineno: int, field: str, what: str) -> int:
-    """A non-negative integer from a graph-dump header."""
-    try:
-        value = int(field)
-    except ValueError:
-        raise ValueError(f"{path}: line {lineno}: non-integer {what} {field!r}") from None
-    if value < 0:
-        raise ValueError(f"{path}: line {lineno}: {what} must be >= 0, got {value}")
-    return value
-
-
 def load_graph(path: str | Path) -> SvgGraph:
     """Rebuild graph structure from a save_graph dump (vectors are None).
 
     The node and edge counts the dump declares must match its lines
     exactly: a truncated dump or one with trailing lines is rejected.
-    So are a non-integer count, node index or edge end, an edge whose
-    ends are not two distinct nodes, a weight that is not a finite
-    number > 0, and an edge listed twice in either direction.  Every
+    So are a non-integer count, a relation mode not in `semantics.MODES`,
+    a non-integer node index or edge end, an edge whose ends are not two
+    distinct nodes, a weight that is not a finite number > 0, and an
+    edge listed twice in either direction.  Every
     error is a ValueError naming the file and, where there is one, the
     line.  Edge lines may come in any order and with either end first:
     the graph holds each edge once, in canonical (i, j) order.
@@ -281,9 +274,11 @@ def load_graph(path: str | Path) -> SvgGraph:
         raise ValueError(f"{path}: empty graph file")
     header = lines[0].split()
     if len(header) != 6 or header[0] != "nodes" or header[2] != "mode" or header[4] != "m":
-        raise ValueError(f"{path}: bad graph header {lines[0]!r}")
-    count = _header_count(path, 1, header[1], "node count")
-    mode, m = header[3], _header_count(path, 1, header[5], "m")
+        raise ValueError(f"{path}: line 1: bad graph header {lines[0]!r}")
+    count = parse_count(path, 1, header[1], "node count", 0)
+    mode, m = header[3], parse_count(path, 1, header[5], "m", 0)
+    if mode not in semantics.MODES:
+        raise ValueError(f"{path}: line 1: unknown relation mode {mode!r}")
     if len(lines) < 2 + count:
         raise ValueError(
             f"{path}: truncated: {min(len(lines) - 1, count)} of {count} node lines "
@@ -303,8 +298,8 @@ def load_graph(path: str | Path) -> SvgGraph:
         nodes.append(SvgNode(segment_id=segment_id, annotation=annotation, vector=None))
     edge_header = lines[1 + count].split()
     if len(edge_header) != 2 or edge_header[0] != "edges":
-        raise ValueError(f"{path}: bad edge header {lines[1 + count]!r}")
-    edge_count = _header_count(path, 2 + count, edge_header[1], "edge count")
+        raise ValueError(f"{path}: line {2 + count}: bad edge header {lines[1 + count]!r}")
+    edge_count = parse_count(path, 2 + count, edge_header[1], "edge count", 0)
     edge_lines = lines[2 + count :]
     if len(edge_lines) < edge_count:
         raise ValueError(

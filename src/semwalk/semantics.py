@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import parse_meaning_id, read_lines
+from .dataset import parse_meaning_id, read_records
 
 VERB = "verb"
 AM = "am"
@@ -63,31 +63,19 @@ class Taxonomy:
 def parse_taxonomy(path: str | Path) -> Taxonomy:
     """Parse and validate a taxonomy file.
 
-    Rejects malformed and duplicate meaning ids, parent references to
-    undefined meanings, and cycles in the parent chains, with a
-    ValueError naming the file and the line at fault.
+    Rejects what `read_records` rejects (a wrong field count, an empty
+    field, a repeated meaning id), malformed meaning ids, parent
+    references to undefined meanings, and cycles in the parent chains,
+    with a ValueError naming the file and the line at fault.
     """
     path = Path(path)
     meanings: dict[str, Meaning] = {}
     lines_seen: dict[str, int] = {}
-    for lineno, line in enumerate(read_lines(path)[0], start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        meaning_id, synset_id, parent = (f.strip() for f in fields)
+    for lineno, (meaning_id, synset_id, parent) in read_records(path, 3, "meaning_id"):
         try:
             parse_meaning_id(meaning_id)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        if meaning_id in meanings:
-            raise ValueError(
-                f"{path}: duplicate meaning_id {meaning_id!r} "
-                f"at lines {lines_seen[meaning_id]} and {lineno}"
-            )
         lines_seen[meaning_id] = lineno
         meanings[meaning_id] = Meaning(
             meaning_id=meaning_id,

@@ -219,13 +219,16 @@ def loop_read_descriptor_file(path):
         raise ValueError(f"{path}: empty descriptor file")
     header = lines[0].split()
     if len(header) != 2:
-        raise ValueError(f"{path}: header must be 'rows dim', got {lines[0]!r}")
-    try:
-        rows, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"{path}: non-integer header {lines[0]!r}") from None
-    if rows < 1 or dim < 1:
-        raise ValueError(f"{path}: rows and dim must be >= 1, got {rows}x{dim}")
+        raise ValueError(f"{path}: line 1: header must be 'rows dim', got {lines[0]!r}")
+    counts = []
+    for field, what in zip(header, ("rows", "dim")):
+        try:
+            counts.append(int(field))
+        except ValueError:
+            raise ValueError(f"{path}: line 1: non-integer {what} {field!r}") from None
+        if counts[-1] < 1:
+            raise ValueError(f"{path}: line 1: {what} must be >= 1, got {counts[-1]}")
+    rows, dim = counts
     body = [
         (lineno, line.split())
         for lineno, line in enumerate(lines[1:], start=2)

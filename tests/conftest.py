@@ -44,6 +44,10 @@ MANIFEST_FIELDS = st.text(
 ).filter(lambda s: s == s.strip() and not s.startswith("#"))
 
 
+# Meaning ids that are not of the form <verb>.v.<s> with s >= 1.
+BAD_MEANINGS = ["putv1", "put.v.0", "put.v.x", ".v.1", "put.n.1"]
+
+
 def write_manifest(path, rows):
     """rows: list of (segment_id, person, verb, meaning_or_None, descriptor)."""
     lines = []

@@ -394,6 +394,29 @@ class TestClassifyFlow:
         )
         assert not graph_file.exists()
 
+    def test_classify_refuses_a_graph_of_unknown_mode(self, tmp_path, capsys):
+        data = gen(tmp_path, "data")
+        model, graph_file = tmp_path / "model.txt", tmp_path / "graph.txt"
+        manifest = str(data / "manifest.tsv")
+        assert dispatch(
+            ["encode", "--manifest", manifest, "--encoding", "bow", "--gamma", "4",
+             "--out", str(model)]
+        ) == 0
+        assert dispatch(
+            ["build-graph", "--manifest", manifest, "--mode", "verb", "--model", str(model),
+             "--out", str(graph_file)]
+        ) == 0
+        text = graph_file.read_text(encoding="utf-8")
+        graph_file.write_text(text.replace(" mode verb ", " mode vreb ", 1), encoding="utf-8")
+        capsys.readouterr()
+        assert dispatch(
+            ["classify", "--graph", str(graph_file), "--manifest", manifest,
+             "--model", str(model), "--queries", manifest]
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"semwalk: error: {graph_file}: line 1: unknown relation mode 'vreb'\n"
+        )
+
     def test_classify_missing_graph_names_flag(self, tmp_path, capsys):
         code = dispatch(["classify", "--manifest", "x.tsv", "--model", "m.txt"])
         assert code == 2

@@ -15,9 +15,11 @@ from semwalk.dataset import (
     split_lopo,
     write_descriptor_file,
 )
+from semwalk.encoding import load_model
+from semwalk.graph import load_graph
 
 from _oracles import loop_read_descriptor_file
-from conftest import MANIFEST_FIELDS, write_manifest
+from conftest import BAD_MEANINGS, MANIFEST_FIELDS, write_manifest
 
 
 def _rows(n, person="p0"):
@@ -267,6 +269,39 @@ _ONE_FILE = settings(
 )
 
 
+_GRAPH = "nodes 2 mode verb m 1\n0 a x\n1 b y\nedges 1\n0 1 1.0 visual\n"
+
+
+class TestHeaderCounts:
+    """Descriptor, model and graph headers read their counts one way."""
+
+    @pytest.mark.parametrize(
+        "load, text, lineno, message",
+        [
+            (read_descriptor_file, "x 2\n1 2\n", 1, "non-integer rows 'x'"),
+            (read_descriptor_file, "1 2.0\n1 2\n", 1, "non-integer dim '2.0'"),
+            (read_descriptor_file, "1 0\n1 2\n", 1, "dim must be >= 1, got 0"),
+            (load_model, "\nbow 2.5 2\n1 2\n", 2, "non-integer gamma '2.5'"),
+            (load_model, "fv 0 2\n1\n", 1, "gamma must be >= 1, got 0"),
+            (load_model, "bow 1 -2\n1 2\n", 1, "dim must be >= 1, got -2"),
+            (load_graph, _GRAPH.replace("nodes 2", "nodes two"), 1, "non-integer node count 'two'"),
+            (load_graph, _GRAPH.replace("m 1", "m -1"), 1, "m must be >= 0, got -1"),
+            (load_graph, _GRAPH.replace("edges 1", "edges 1e0"), 4, "non-integer edge count '1e0'"),
+            (load_graph, _GRAPH.replace("edges 1", "edges -1"), 4, "edge count must be >= 0, got -1"),
+            # Header shapes name their line too.
+            (read_descriptor_file, "1\n1\n", 1, "header must be 'rows dim', got '1'"),
+            (load_model, "\n\nvlad 1 2\n1 2\n", 3, "bad model header 'vlad 1 2'"),
+            (load_graph, "nodes 2 mode verb\n", 1, "bad graph header 'nodes 2 mode verb'"),
+        ],
+    )
+    def test_errors_name_file_and_line(self, tmp_path, load, text, lineno, message):
+        path = tmp_path / "f.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: line {lineno}: {message}"
+
+
 class TestDescriptorParseOracle:
     """`read_descriptor_file` against the token-by-token loop, bit for bit."""
 
@@ -300,7 +335,6 @@ _MEANING = st.one_of(
     st.builds("{}.v.{}".format, MANIFEST_FIELDS, st.integers(1, 99).map(str)),
 )
 _RELATIVE = MANIFEST_FIELDS.filter(lambda s: not s.startswith("/"))
-_BAD_MEANINGS = ["putv1", "put.v.0", "put.v.x", ".v.1", "put.n.1"]
 
 
 @st.composite
@@ -350,7 +384,7 @@ class TestManifestProperties:
     @_ONE_FILE
     @given(
         manifest=manifests(),
-        kind=st.sampled_from(["fewer", "more", "duplicate", "meaning"]),
+        kind=st.sampled_from(["fewer", "more", "empty", "duplicate", "meaning"]),
         data=st.data(),
     )
     def test_corruption_names_file_and_line(self, tmp_path, manifest, kind, data):
@@ -366,10 +400,13 @@ class TestManifestProperties:
             fields.pop(data.draw(st.integers(0, 4)))
         elif kind == "more":
             fields.insert(data.draw(st.integers(0, 5)), data.draw(MANIFEST_FIELDS))
+        elif kind == "empty":
+            k = data.draw(st.integers(0, 4))
+            fields[k] = data.draw(st.sampled_from(["", " ", "  "]))
         elif kind == "duplicate":
             fields[0] = rows[first][0]
         else:
-            fields[3] = data.draw(st.sampled_from(_BAD_MEANINGS))
+            fields[3] = data.draw(st.sampled_from(BAD_MEANINGS))
         lines = list(lines)
         lines[linenos[r] - 1] = "\t".join(fields)
         path = tmp_path / "m.tsv"
@@ -382,6 +419,8 @@ class TestManifestProperties:
             assert message.endswith(f"at lines {linenos[first]} and {linenos[r]}")
         else:
             assert message.startswith(f"{path}: line {linenos[r]}: ")
+        if kind == "empty":
+            assert message.endswith(f"field {k + 1} is empty")
 
 
 # The three line ends, characters that str.splitlines also breaks at,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -436,6 +437,18 @@ class TestGraphFiles:
         path = tmp_path / "graph.txt"
         save_graph(svg, path)
         return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def test_unknown_mode_refused_on_save_and_load(self, tmp_path):
+        path, lines = self._dump(tmp_path)
+        lines[0] = lines[0].replace(" mode verb ", " mode vreb ")
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"graph\.txt: line 1: unknown relation mode 'vreb'$"):
+            load_graph(path)
+        svg = build_svg(random_nodes(np.random.default_rng(16), 8, 3), None, VERB, m=4)
+        out = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=r"^unknown relation mode 'vreb'$"):
+            save_graph(dataclasses.replace(svg, mode="vreb"), out)
+        assert not out.exists()
 
     def test_truncated_edge_section_rejected(self, tmp_path):
         path, lines = self._dump(tmp_path)

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import semwalk.semantics
 from semwalk.semantics import (
@@ -20,6 +22,7 @@ from semwalk.semantics import (
 )
 
 from _oracles import closure_partition, random_taxonomy_lines
+from conftest import BAD_MEANINGS, MANIFEST_FIELDS
 
 FIG_IDS = [
     "put.v.1", "place.v.1", "put_down.v.1",
@@ -91,6 +94,80 @@ class TestParseTaxonomy:
         path = tmp_path / "t.tsv"
         path.write_text("# comment\na.v.1\ts1\t-\n", encoding="utf-8")
         assert len(parse_taxonomy(path).meanings) == 1
+
+    def test_empty_synset_rejected(self, tmp_path):
+        # Two empty synsets would otherwise make the meanings synonyms under "as".
+        path = tmp_path / "t.tsv"
+        path.write_text("put.v.1\t\t-\nstir.v.1\t \t-\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: field 2 is empty") + "$"):
+            parse_taxonomy(path)
+
+
+@st.composite
+def taxonomies(draw):
+    """Taxonomy lines with unique meaning ids, parents among the earlier
+    meanings, comment and blank lines, and the line number of each meaning."""
+    verbs = draw(st.lists(MANIFEST_FIELDS, min_size=1, max_size=6, unique=True))
+    fillers = st.lists(st.sampled_from(["", "  ", "\t", "# note", "  #\tx"]), max_size=2)
+    ids, lines, linenos = [], [], []
+    for verb in verbs:
+        meaning = f"{verb}.v.{draw(st.integers(1, 99))}"
+        parent = draw(st.sampled_from(["-", *ids]))
+        lines += draw(fillers)
+        lines.append("\t".join([meaning, draw(MANIFEST_FIELDS), parent]))
+        ids.append(meaning)
+        linenos.append(len(lines))
+    lines += draw(fillers)
+    return ids, lines, linenos
+
+
+class TestTaxonomyProperties:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        taxonomy=taxonomies(),
+        kind=st.sampled_from(["fewer", "more", "empty", "duplicate", "meaning"]),
+        data=st.data(),
+    )
+    def test_corruption_names_file_and_line(self, tmp_path, taxonomy, kind, data):
+        ids, lines, linenos = taxonomy
+        if kind == "duplicate":
+            assume(len(ids) > 1)
+            r = data.draw(st.integers(1, len(ids) - 1))
+            first = data.draw(st.integers(0, r - 1))
+        else:
+            r = data.draw(st.integers(0, len(ids) - 1))
+        fields = lines[linenos[r] - 1].split("\t")
+        if kind == "fewer":
+            fields.pop(data.draw(st.integers(0, 2)))
+        elif kind == "more":
+            fields.insert(data.draw(st.integers(0, 3)), data.draw(MANIFEST_FIELDS))
+        elif kind == "empty":
+            k = data.draw(st.integers(0, 2))
+            fields[k] = data.draw(st.sampled_from(["", " ", "  "]))
+        elif kind == "duplicate":
+            fields[0] = ids[first]
+        else:
+            fields[0] = data.draw(st.sampled_from(BAD_MEANINGS))
+        lines = list(lines)
+        lines[linenos[r] - 1] = "\t".join(fields)
+        path = tmp_path / "t.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            parse_taxonomy(path)
+        message = str(info.value)
+        if kind == "duplicate":
+            assert message == (
+                f"{path}: duplicate meaning_id {ids[first]!r} "
+                f"at lines {linenos[first]} and {linenos[r]}"
+            )
+            return
+        assert message.startswith(f"{path}: line {linenos[r]}: ")
+        if kind in ("fewer", "more"):
+            assert message.endswith(f"expected 3 tab-separated fields, got {len(fields)}")
+        elif kind == "empty":
+            assert message.endswith(f"field {k + 1} is empty")
+        else:
+            assert "malformed meaning id" in message
 
 
 class TestRelated:
