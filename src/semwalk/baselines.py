@@ -44,17 +44,19 @@ def class_weights(priors: dict[str, float], lam: float) -> dict[str, float]:
 def knn_vote(
     train_vectors: EncodedVector,
     train_labels: Sequence[str],
-    query: EncodedVector,
+    queries: EncodedVector,
     k: int,
-) -> tuple[str, dict[str, float]]:
-    """Majority vote over the k nearest neighbors, with vote shares.
+) -> list[tuple[str, dict[str, float]]]:
+    """Majority vote over each query's k nearest neighbors, with vote
+    shares; one (label, shares) per query, in order.
 
-    `train_vectors` is the training set stacked once (`encoding.stack`).
-    Neighbor selection orders by (distance, index), with `distance`
-    taken only on the rows `encoding.shortlist` keeps; vote ties prefer
-    the tied class with the smaller mean neighbor distance, then the
-    lexicographically smaller name.  k is clamped to the training size.
-    A distance that is not finite is rejected.
+    `train_vectors` is the training set stacked once, and `queries` the
+    query encodings stacked (`encoding.stack`).  Neighbor selection
+    orders by (distance, index), with `distance` taken only on the rows
+    one `encoding.shortlist` of all the queries keeps for each; vote
+    ties prefer the tied class with the smaller mean neighbor distance,
+    then the lexicographically smaller name.  k is clamped to the
+    training size.  A distance that is not finite is rejected.
     """
     size = train_vectors.values.shape[0]
     if size == 0:
@@ -64,23 +66,26 @@ def knn_vote(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, size)
-    rows = shortlist(query, train_vectors, k)
-    near = EncodedVector(train_vectors.values[rows], train_vectors.kind)
-    dists = distance(query, near)
-    if not np.all(np.isfinite(dists)):
-        raise ValueError("query distances must be finite")
-    order = np.argsort(dists, kind="stable")[:k]
-    votes: dict[str, int] = {}
-    dist_sums: dict[str, float] = {}
-    for idx, dist in zip(rows[order].tolist(), dists[order].tolist()):
-        label = train_labels[idx]
-        votes[label] = votes.get(label, 0) + 1
-        dist_sums[label] = dist_sums.get(label, 0.0) + dist
-    top = max(votes.values())
-    tied = [label for label, count in votes.items() if count == top]
-    winner = min(tied, key=lambda lb: (dist_sums[lb] / votes[lb], lb))
-    shares = {label: count / k for label, count in sorted(votes.items())}
-    return winner, shares
+    out = []
+    for values, rows in zip(queries.values, shortlist(queries, train_vectors, k)):
+        query = EncodedVector(values, queries.kind)
+        near = EncodedVector(train_vectors.values[rows], train_vectors.kind)
+        dists = distance(query, near)
+        if not np.all(np.isfinite(dists)):
+            raise ValueError("query distances must be finite")
+        order = np.argsort(dists, kind="stable")[:k]
+        votes: dict[str, int] = {}
+        dist_sums: dict[str, float] = {}
+        for idx, dist in zip(rows[order].tolist(), dists[order].tolist()):
+            label = train_labels[idx]
+            votes[label] = votes.get(label, 0) + 1
+            dist_sums[label] = dist_sums.get(label, 0.0) + dist
+        top = max(votes.values())
+        tied = [label for label, count in votes.items() if count == top]
+        winner = min(tied, key=lambda lb: (dist_sums[lb] / votes[lb], lb))
+        shares = {label: count / k for label, count in sorted(votes.items())}
+        out.append((winner, shares))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,7 +213,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     cmap = semantics.class_map(classes)
 
     walk = opts.config(inference.WalkConfig)
-    vectors = list(evaluation.encode_segments(queries, model).values())
+    vectors = encoding.stack(list(evaluation.encode_segments(queries, model).values()))
     results = inference.classify_batch(
         svg, transitions, taxonomy, mode, vectors, walk, classes=classes
     )

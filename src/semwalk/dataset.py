@@ -234,11 +234,15 @@ def parse_reals(path: str | Path, numbered: list[tuple[int, str]], width: int) -
 def read_descriptor_file(path: str | Path) -> DescriptorSet:
     """Parse one descriptor file; rejects short/long bodies and non-finite values.
 
-    The body is read by `parse_reals`.  Every error is a ValueError
-    naming the file and, where there is one, the line.
+    The body is read by `parse_reals`.  A last line without its line end
+    is refused (`write_descriptor_file` ends every line, so the file was
+    cut short).  Every error is a ValueError naming the file and, where
+    there is one, the line.
     """
     path = Path(path)
-    lines, _ = read_lines(path)
+    lines, ended = read_lines(path)
+    if not ended:
+        raise ValueError(f"{path}: line {len(lines)}: no newline after {lines[-1]!r}")
     if not lines:
         raise ValueError(f"{path}: empty descriptor file")
     header = lines[0].split()

@@ -33,18 +33,25 @@ point's squared distance to it, which k-means++ samples by and the
 inertia sums, is |x|^2 plus its score.  A fit fills one points x
 centers array of scores per assignment step and reuses it, and each
 center update takes every cluster's sums from one `np.bincount` per
-dimension, over the pool stored dim x points.  Bag-of-words encoding (`encode_many`) stacks
-videos of equal row count into videos x rows x dim blocks of at most
-`_BLOCK_ROWS` rows, so its largest temporary, the block's
-videos x rows x centers scores, is no larger than the points x centers
-array of a fit on that many points; `np.matmul` takes one product per
-video of a block, so each video gets the bits it gets alone.
+dimension, over the pool stored dim x points.  `encode_many` stacks
+videos of equal row count into videos x rows x dim blocks (`_blocks`).
+Bag-of-words blocks hold at most `_BLOCK_ROWS` rows, so their largest
+temporary, the block's videos x rows x centers scores, is no larger
+than the points x centers array of a fit on that many points.  Fisher
+blocks hold at most `_FISHER_BLOCK_ROWS` rows and run the one E-step
+and `_statistics` on the whole block: its centred descriptors and their
+squares are videos x dim x rows, its log-densities videos x components
+x rows, so a block's temporaries are a small multiple of
+`_FISHER_BLOCK_ROWS` x max(dim, components) doubles however many
+videos are encoded.  `np.matmul` takes one product per video of a
+block, so each video gets the bits it gets alone.
 
 Nearest neighbors: `distance` compares one encoding with every row of
-a stack.  `shortlist` bounds the rows that can be among the k nearest
-with one matrix-vector product and a rounding-error margin, so callers
-take `distance` on those rows only and get the same neighbors and
-bits as from every row, with no rows x length temporary.
+a stack.  `shortlist` bounds, for each query of a stack, the rows that
+can be among its k nearest with one queries x rows product and the
+query's own rounding-error margin, so callers take `distance` on those
+rows only and get the same neighbors and bits as from every row; the
+product is its one queries x rows temporary, with no rows x length one.
 """
 from __future__ import annotations
 
@@ -52,7 +59,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -373,34 +380,43 @@ def _checked_descriptors(descriptors: np.ndarray, dim: int) -> np.ndarray:
 # Rows per bag-of-words block: its videos x rows x centers distances stay
 # at or below the points x centers array of a fit on a pool that large.
 _BLOCK_ROWS = 4096
+# Rows per Fisher block: its descriptors, their centred copy and squares
+# (videos x dim x rows each) and its components x rows log-densities stay
+# a few MB at dim 64; larger blocks only grow the process's peak memory.
+_FISHER_BLOCK_ROWS = 1024
+
+
+def _blocks(sets: list[np.ndarray], block_rows: int) -> Iterator[list[int]]:
+    """Indices of the videos of equal row count, in blocks of at most
+    `block_rows` rows (one video when it alone has more)."""
+    groups: dict[int, list[int]] = {}
+    for index, values in enumerate(sets):
+        groups.setdefault(values.shape[0], []).append(index)
+    for rows, members in groups.items():
+        step = max(1, block_rows // rows)
+        for start in range(0, len(members), step):
+            yield members[start : start + step]
 
 
 def _bow_histograms(codebook: Codebook, sets: list[np.ndarray]) -> list[EncodedVector]:
     """The bag-of-words histogram (`encode_bow`) of each checked
     descriptor matrix.
 
-    Videos of equal row count are stacked into blocks of at most
-    `_BLOCK_ROWS` rows (one video when it alone has more); one
+    Videos are stacked in `_blocks` of at most `_BLOCK_ROWS` rows; one
     `_nearest_centers` call labels a block's descriptors and one
     `np.bincount` of label + video * k counts every histogram of the
     block.
     """
     k = codebook.size
-    groups: dict[int, list[int]] = {}
-    for index, values in enumerate(sets):
-        groups.setdefault(values.shape[0], []).append(index)
     hists = np.empty((len(sets), k))
-    for rows, members in groups.items():
-        step = max(1, _BLOCK_ROWS // rows)
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            labels = _nearest_centers(
-                _lifted(np.stack([sets[i] for i in chunk])), codebook.centers
-            )[0]
-            labels += np.arange(len(chunk))[:, None] * k
-            counts = np.bincount(labels.ravel(), minlength=len(chunk) * k)
-            counts = counts.reshape(len(chunk), k)
-            hists[chunk] = counts / counts.sum(axis=1, keepdims=True)
+    for chunk in _blocks(sets, _BLOCK_ROWS):
+        labels = _nearest_centers(
+            _lifted(np.stack([sets[i] for i in chunk])), codebook.centers
+        )[0]
+        labels += np.arange(len(chunk))[:, None] * k
+        counts = np.bincount(labels.ravel(), minlength=len(chunk) * k)
+        counts = counts.reshape(len(chunk), k)
+        hists[chunk] = counts / counts.sum(axis=1, keepdims=True)
     return [EncodedVector(values=row, kind=BOW) for row in hists]
 
 
@@ -418,9 +434,11 @@ _Centred = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _centred(points: np.ndarray) -> _Centred:
     """The points' mean, and the points shifted by it and their squares,
     each stored transposed as a contiguous dim x points array: the form
-    the E-step takes, prepared once per set of points."""
-    centre = points.mean(axis=0)
-    xt = np.subtract(points.T, centre[:, None], order="C")
+    the E-step takes, prepared once per set of points.  A videos x rows
+    x dim stack gives videos x dim means and videos x dim x rows arrays,
+    each video's with the bits it gets alone."""
+    centre = points.mean(axis=-2)
+    xt = np.subtract(points.mT, centre[..., None], order="C")
     return centre, xt, xt * xt
 
 
@@ -428,22 +446,23 @@ def _log_gaussians(
     centred: _Centred, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
     """log N(x | mean_k, diag var_k) for every component/point pair, as a
-    components x points array.
+    components x points array (videos x components x rows for a stack).
 
     The points come `_centred`.  The Mahalanobis term is expanded as
     P.x^2 - (2 mean P).x + mean^2.P with P = 1/var, two matrix products
     with no points x components x dim array.  Points and means are
     shifted by the points' mean, which leaves the term unchanged and
     keeps the expansion's cancellation bounded when the data sit far
-    from the origin.
+    from the origin.  `np.matmul` takes one product per video of a
+    stack, so each video gets the bits it gets alone.
     """
     centre, xt, xt_sq = centred
-    mu = means - centre
+    mu = means - centre[..., None, :]
     precision = 1.0 / variances
     log_det = np.sum(np.log(2.0 * np.pi * variances), axis=1)
     out = precision @ xt_sq
     out -= (2.0 * mu * precision) @ xt
-    out += (np.sum(mu * mu * precision, axis=1) + log_det)[:, None]
+    out += (np.sum(mu * mu * precision, axis=-1) + log_det)[..., None]
     out *= -0.5
     return out
 
@@ -456,7 +475,8 @@ def _e_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities, components x points (columns sum to 1), and
     per-point log-likelihoods as a 1 x points row: the one E-step of EM
-    training and Fisher encoding, on `_centred` points.
+    training and Fisher encoding, on `_centred` points (one such pair
+    per video of a stack).
 
     The log-joint less its column maxima is exponentiated once, so its
     column sums s lie in [1, components]; the responsibilities are the
@@ -464,19 +484,20 @@ def _e_step(
     """
     log_joint = _log_gaussians(centred, means, variances)
     log_joint += np.log(weights)[:, None]
-    top = log_joint.max(axis=0, keepdims=True)
+    top = log_joint.max(axis=-2, keepdims=True)
     log_joint -= top
     resp = np.exp(log_joint, out=log_joint)
-    total = resp.sum(axis=0, keepdims=True)
+    total = resp.sum(axis=-2, keepdims=True)
     resp /= total
     return resp, top + np.log(total)
 
 
 def _statistics(resp: np.ndarray, centred: _Centred) -> tuple[np.ndarray, ...]:
     """S0 = sum g (components x 1), S1 = sum g x and S2 = sum g x^2
-    (components x dim) of components x points `resp` on `_centred` points."""
+    (components x dim) of components x points `resp` on `_centred` points,
+    or of each video of a stack."""
     _, xt, xt_sq = centred
-    return resp.sum(axis=1)[:, None], resp @ xt.T, resp @ xt_sq.T
+    return resp.sum(axis=-1)[..., None], resp @ xt.mT, resp @ xt_sq.mT
 
 
 def gmm_posteriors(gmm: GmmModel, points: np.ndarray) -> np.ndarray:
@@ -558,18 +579,49 @@ def fisher_gradients(
     S0 mean^2; the E-step reads the same centred descriptors.  The mean
     block vanishes when every descriptor sits at its component's mean.
     """
-    descriptors = _checked_descriptors(descriptors, gmm.dim)
-    t = descriptors.shape[0]
+    return _fisher_gradients(gmm, _checked_descriptors(descriptors, gmm.dim))
+
+
+def _fisher_gradients(
+    gmm: GmmModel, descriptors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`fisher_gradients` of one checked rows x dim matrix, or of every
+    video of a videos x rows x dim stack as two videos x components x
+    dim arrays: one E-step and one `_statistics` on the stack, each
+    video with the bits it gets alone."""
+    t = descriptors.shape[-2]
     centred = _centred(descriptors)
     resp = _e_step(centred, gmm.weights, gmm.means, gmm.variances)[0]
     s0, s1, s2 = _statistics(resp, centred)
-    mu = gmm.means - centred[0]
+    mu = gmm.means - centred[0][..., None, :]
     root_w = np.sqrt(gmm.weights)[:, None]
     grad_means = (s1 - s0 * mu) / np.sqrt(gmm.variances) / (t * root_w)
     grad_vars = ((s2 - 2.0 * mu * s1 + s0 * mu**2) / gmm.variances - s0) / (
         t * np.sqrt(2.0) * root_w
     )
     return grad_means, grad_vars
+
+
+def _fisher_vectors(gmm: GmmModel, sets: list[np.ndarray]) -> list[EncodedVector]:
+    """The Fisher vector (`encode_fisher`) of each checked descriptor
+    matrix.
+
+    Videos are stacked in `_blocks` of at most `_FISHER_BLOCK_ROWS` rows
+    (a lone video is passed as it is: stacking it would only cost time);
+    one `_fisher_gradients` call takes a block's raw gradients, and each
+    row's L2 norm is sqrt(vecdot), the bits of `np.linalg.norm`.
+    """
+    vectors = [None] * len(sets)
+    for chunk in _blocks(sets, _FISHER_BLOCK_ROWS):
+        block = sets[chunk[0]] if len(chunk) == 1 else np.stack([sets[i] for i in chunk])
+        # Mean block then variance block, each components x dim, per video.
+        raw = np.concatenate(_fisher_gradients(gmm, block), axis=-2).reshape(len(chunk), -1)
+        powered = np.sign(raw) * np.sqrt(np.abs(raw))
+        norms = np.sqrt(np.vecdot(powered, powered))[:, None]
+        np.divide(powered, norms, out=powered, where=norms > 0.0)
+        for index, row in zip(chunk, powered):
+            vectors[index] = EncodedVector(values=row, kind=FV)
+    return vectors
 
 
 def encode_fisher(gmm: GmmModel, descriptors: np.ndarray) -> EncodedVector:
@@ -580,13 +632,7 @@ def encode_fisher(gmm: GmmModel, descriptors: np.ndarray) -> EncodedVector:
     normalization.  A video whose raw gradients are identically zero
     encodes to the zero vector (nothing to normalize).
     """
-    grad_means, grad_vars = fisher_gradients(gmm, descriptors)
-    raw = np.concatenate([grad_means.ravel(), grad_vars.ravel()])
-    powered = np.sign(raw) * np.sqrt(np.abs(raw))
-    norm = np.linalg.norm(powered)
-    if norm > 0.0:
-        powered = powered / norm
-    return EncodedVector(values=powered, kind=FV)
+    return _fisher_vectors(gmm, [_checked_descriptors(descriptors, gmm.dim)])[0]
 
 
 def stack(vectors: Sequence[EncodedVector]) -> EncodedVector:
@@ -604,11 +650,16 @@ def stack(vectors: Sequence[EncodedVector]) -> EncodedVector:
     return EncodedVector(values=values, kind=kinds.pop())
 
 
-def _check_comparable(a: EncodedVector, b: EncodedVector) -> None:
-    """Raise unless `b` stacks encodings of `a`'s kind and length."""
+def _check_comparable(a: EncodedVector, b: EncodedVector, ndim: int = 1) -> None:
+    """Raise unless `b` stacks encodings of `a`'s kind and length; `a` is
+    one encoding (ndim 1) or a stack of them (ndim 2)."""
     if a.kind != b.kind:
         raise ValueError(f"encoding kind mismatch: {a.kind!r} vs {b.kind!r}")
-    if a.values.ndim != 1 or b.values.ndim != 2 or b.values.shape[1:] != a.values.shape:
+    if (
+        a.values.ndim != ndim
+        or b.values.ndim != 2
+        or b.values.shape[1:] != a.values.shape[ndim - 1 :]
+    ):
         raise ValueError(
             f"encoding length mismatch: {a.values.shape} vs {b.values.shape}"
         )
@@ -625,40 +676,57 @@ def distance(a: EncodedVector, b: EncodedVector) -> np.ndarray:
     return np.sqrt(np.vecdot(diff, diff))
 
 
-def shortlist(query: EncodedVector, stacked: EncodedVector, k: int) -> np.ndarray:
-    """Ascending indices of every row of `stacked` that can be among the
-    k nearest to `query`, nearness being `distance` with ties to the
-    lower index.
+def shortlist(
+    queries: EncodedVector, stacked: EncodedVector, k: int
+) -> list[np.ndarray]:
+    """For each row of `queries`, the ascending indices of every row of
+    `stacked` that can be among the k nearest to it, nearness being
+    `distance` with ties to the lower index.
 
-    One matrix-vector product against the stack's cached
-    `squared_norms` estimates each row's |b|^2 - 2b.q, its squared
-    distance less the |q|^2 every row shares.  Rows whose estimate is
-    within 2 delta of the k-th smallest are kept, with delta =
-    4 (L + 4) (eps (|q|^2 + max |b|^2) + the smallest subnormal) for
-    length L: at least twice the rounding error of the expansion and of
-    `distance` itself, by the dot-product bound gamma_L |q| |b| (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), so
-    any row left out has k kept rows strictly nearer.  Taking
-    `distance` on the kept rows and a stable sort therefore gives the
-    indices and bits of sorting every row.  Every row is kept when k
-    reaches the row count, or when 4 (|q|^2 + max |b|^2) is not finite
-    and no bound holds.
+    `queries` is a stack too (`stack`).  One queries x rows product
+    against `stacked`'s cached `squared_norms` estimates every pair's
+    |b|^2 - 2b.q, its squared distance less the |q|^2 every row shares.
+    A query keeps the rows whose estimate is within 2 delta of its k-th
+    smallest, with delta = 4 (L + 4) (eps (|q|^2 + max |b|^2) + the
+    smallest subnormal) for length L: at least twice the rounding error
+    of the expansion and of `distance` itself, by the dot-product bound
+    gamma_L |q| |b| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1), which holds in any summation order; so
+    any row left out has k kept rows strictly nearer.  Taking `distance`
+    on the kept rows and a stable sort therefore gives the indices and
+    bits of sorting every row, whatever queries share the product.
+    Every row is kept when k reaches the row count, and for a query
+    whose 4 (|q|^2 + max |b|^2) is not finite, where no bound holds.
+    The product is the one queries x rows temporary.
     """
-    _check_comparable(query, stacked)
+    _check_comparable(queries, stacked, ndim=2)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rows, length = stacked.values.shape
     if k >= rows:
-        return np.arange(rows)
+        return [np.arange(rows) for _ in range(queries.values.shape[0])]
     norms = stacked.squared_norms
-    scale = float(query.values @ query.values) + float(norms.max())
-    if not np.isfinite(4.0 * scale):
-        return np.arange(rows)
-    estimate = norms - 2.0 * (stacked.values @ query.values)
-    kth = np.partition(estimate, k - 1)[k - 1]
+    top = float(norms.max())
     info = np.finfo(np.float64)
-    delta = 4.0 * (length + 4) * (info.eps * scale + info.smallest_subnormal)
-    return np.flatnonzero(estimate <= kth + 2.0 * delta)
+    scales = [square + top for square in np.vecdot(queries.values, queries.values).tolist()]
+    # No bound holds where 4 scale is not finite: such a query keeps every
+    # row, and leaving it out of the product keeps every sum below finite.
+    bounded = [math.isfinite(4.0 * scale) for scale in scales]
+    values = queries.values if all(bounded) else queries.values[bounded]
+    estimate = values @ stacked.values.T
+    estimate *= -2.0
+    estimate += norms
+    estimates = iter(estimate)
+    kept = []
+    for scale, ok in zip(scales, bounded):
+        if not ok:
+            kept.append(np.arange(rows))
+            continue
+        row = next(estimates)
+        kth = np.partition(row, k - 1)[k - 1]
+        delta = 4.0 * (length + 4) * (info.eps * scale + info.smallest_subnormal)
+        kept.append(np.flatnonzero(row <= kth + 2.0 * delta))
+    return kept
 
 
 def _format_row(values: np.ndarray) -> str:
@@ -741,11 +809,10 @@ def encode_many(
     descriptor set that is not a non-empty, finite rows x dim matrix of
     the model's dim raises a ValueError.
     """
+    sets = [_checked_descriptors(d, model.dim) for d in descriptor_sets]
     if isinstance(model, Codebook):
-        return _bow_histograms(
-            model, [_checked_descriptors(d, model.dim) for d in descriptor_sets]
-        )
-    return [encode_fisher(model, d) for d in descriptor_sets]
+        return _bow_histograms(model, sets)
+    return _fisher_vectors(model, sets)
 
 
 def encode(model: Codebook | GmmModel, descriptors: np.ndarray) -> EncodedVector:

@@ -193,14 +193,12 @@ def _classify_fold(
     if method == SEMBED:
         walk = inference.WalkConfig(z=config.z, t=config.t)
         results = inference.classify_batch(
-            *walk_graph, taxonomy, mode, queries, walk, classes=classes
+            *walk_graph, taxonomy, mode, encoding.stack(queries), walk, classes=classes
         )
     elif method == KNN:
-        stacked = encoding.stack(train_vectors)
-        results = [
-            baselines.knn_vote(stacked, train_classes, query, config.k)
-            for query in queries
-        ]
+        results = baselines.knn_vote(
+            encoding.stack(train_vectors), train_classes, encoding.stack(queries), config.k
+        )
     else:
         priors = baselines.class_priors(train_classes)
         weights = baselines.class_weights(priors, config.lam)

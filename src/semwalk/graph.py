@@ -234,10 +234,13 @@ def save_graph(graph: SvgGraph, path: str | Path) -> None:
     (vectors are not stored; re-encode to re-attach them).  A segment id
     with whitespace, or an annotation with any character `str.splitlines`
     breaks at (line ends among them), raises a ValueError naming the node,
-    and a relation mode `load_graph` does not know raises one naming it.
+    and a relation mode `load_graph` does not know, or an m below 0,
+    raises one naming it.
     """
     if graph.mode not in semantics.MODES:
         raise ValueError(f"unknown relation mode {graph.mode!r}")
+    if graph.m < 0:
+        raise ValueError(f"m must be >= 0, got {graph.m}")
     lines = [f"nodes {len(graph.nodes)} mode {graph.mode} m {graph.m}"]
     for idx, node in enumerate(graph.nodes):
         if any(ch.isspace() for ch in node.segment_id):

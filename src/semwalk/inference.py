@@ -24,15 +24,14 @@ it.  Rows are added in ascending node order, so a query's distribution
 does not depend on the batch it arrives in, and at t = 0 (C = M) it has
 the bits of summing its start mass per class in node order.
 
-The z closest nodes come from `encoding.shortlist`, which bounds the
-candidates with one matrix-vector product; exact distances are taken on
-those nodes only, so the neighbors and their distances are those of a
-stable sort over every node.
+The z closest nodes come from `encoding.shortlist`, which bounds every
+query's candidates with one queries x nodes product per batch; exact
+distances are taken on those nodes only, so the neighbors and their
+distances are those of a stable sort over every node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csc_array
@@ -136,23 +135,27 @@ def argmax_class(distribution: dict[str, float], t: int = 0, z: int = 1) -> str:
 
 
 def query_distances(
-    graph: SvgGraph, query_vector: EncodedVector, z: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The z nodes nearest a query encoding, and their distances.
+    graph: SvgGraph, queries: EncodedVector, z: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The z nodes nearest each row of a stack of query encodings, and
+    their distances; one (nodes, distances) pair per query, in order.
 
     Nodes come in (distance, index) order, z clamped to the node count.
-    `distance` is taken only on the nodes `shortlist` keeps, so nodes
-    and distances are bit for bit those of a stable sort of the
-    distances to every node.  A distance that is not finite is
-    rejected.
+    `distance` is taken only on the nodes one `shortlist` of every query
+    keeps, so nodes and distances are bit for bit those of a stable
+    sort of the distances to every node.  A distance that is not finite
+    is rejected.
     """
     nodes = graph.vector_matrix
-    rows = shortlist(query_vector, nodes, z)
-    dists = distance(query_vector, EncodedVector(nodes.values[rows], nodes.kind))
-    if not np.all(np.isfinite(dists)):
-        raise ValueError("query distances must be finite")
-    order = np.argsort(dists, kind="stable")[:z]
-    return rows[order], dists[order]
+    out = []
+    for values, rows in zip(queries.values, shortlist(queries, nodes, z)):
+        query = EncodedVector(values, queries.kind)
+        dists = distance(query, EncodedVector(nodes.values[rows], nodes.kind))
+        if not np.all(np.isfinite(dists)):
+            raise ValueError("query distances must be finite")
+        order = np.argsort(dists, kind="stable")[:z]
+        out.append((rows[order], dists[order]))
+    return out
 
 
 def class_distribution(
@@ -189,15 +192,17 @@ def classify_batch(
     A: csc_array,
     taxonomy: semantics.Taxonomy | None,
     mode: str,
-    query_vectors: Sequence[EncodedVector],
+    queries: EncodedVector,
     config: WalkConfig,
     classes: list[tuple[str, ...]] | None = None,
 ) -> list[tuple[str, dict[str, float]]]:
-    """Embed, walk, aggregate and argmax each query.
+    """Embed, walk, aggregate and argmax each query of a stack.
 
-    Each query's distribution is the start-mass-weighted sum of the
+    `queries` is the query encodings stacked (`encoding.stack`).  Each
+    query's distribution is the start-mass-weighted sum of the
     `class_distribution` rows at its z nearest nodes, added in ascending
-    node order, so it is the same alone or in any batch.  The table is
+    node order, so it is the same alone or in any batch; one
+    `query_distances` call finds the nearest nodes of all.  The table is
     walked once per (graph, A, t, classes) and kept on the graph, so A
     must not be changed in place once it has been walked.  `classes`
     defaults to the partition of the graph's own annotations; an
@@ -209,7 +214,7 @@ def classify_batch(
         classes = semantics.semantic_classes(
             taxonomy, graph.annotation_codes[0], mode
         )
-    if not query_vectors:
+    if not len(queries.values):
         return []
     key = (id(A), config.t, tuple(classes))
     entry = graph.class_mass_tables.get(key)
@@ -221,8 +226,7 @@ def classify_batch(
     table = entry[1]
     names = [component[0] for component in classes]
     out = []
-    for query_vector in query_vectors:
-        nearest, dists = query_distances(graph, query_vector, config.z)
+    for nearest, dists in query_distances(graph, queries, config.z):
         mass = _start_mass(dists)
         order = np.argsort(nearest)
         # A sum over axis 0 adds the rows one after another, in order.
@@ -241,7 +245,7 @@ def classify(
     config: WalkConfig,
     classes: list[tuple[str, ...]] | None = None,
 ) -> tuple[str, dict[str, float]]:
-    """Embed, walk, aggregate, argmax: `classify_batch` of one query."""
-    return classify_batch(
-        graph, A, taxonomy, mode, [query_vector], config, classes
-    )[0]
+    """Embed, walk, aggregate, argmax: `classify_batch` of a one-row stack
+    of the query."""
+    queries = EncodedVector(query_vector.values[None], query_vector.kind)
+    return classify_batch(graph, A, taxonomy, mode, queries, config, classes)[0]

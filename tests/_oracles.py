@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 from scipy.sparse import csr_array
 
-from semwalk.encoding import distance, gmm_posteriors
+from semwalk.encoding import distance, fisher_gradients, gmm_posteriors
 
 
 def brute_force_edges(distances, is_related, m):
@@ -184,6 +184,19 @@ def einsum_fisher_gradients(gmm, descriptors):
     return grad_means, grad_vars
 
 
+def per_video_fisher_vector(gmm, descriptors):
+    """One video's Fisher vector from its own `fisher_gradients`: the two
+    blocks concatenated, signed square roots, then divided by
+    `np.linalg.norm` unless that is 0, the bits the library's block
+    encoding must reproduce.
+    """
+    grad_means, grad_vars = fisher_gradients(gmm, descriptors)
+    raw = np.concatenate([grad_means.ravel(), grad_vars.ravel()])
+    powered = np.sign(raw) * np.sqrt(np.abs(raw))
+    norm = np.linalg.norm(powered)
+    return powered / norm if norm > 0.0 else powered
+
+
 def expanded_squared_distances(points, centers):
     """|x|^2 - 2x.c + |c|^2 clipped at 0, each term computed afresh,
     the form whose bits the library's k-means kernel must reproduce.
@@ -211,10 +224,14 @@ def loop_nearest_centers(points, centers):
 def loop_read_descriptor_file(path):
     """Descriptor matrix parsed line by line and token by token with
     `float()`, the reader whose values and error messages the library's
-    one-call parse must reproduce.
+    one-call parse must reproduce; like the library, it refuses a last
+    line without its line end.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+        raw = list(fh)
+    lines = [line.rstrip("\n") for line in raw]
+    if raw and not raw[-1].endswith("\n"):
+        raise ValueError(f"{path}: line {len(lines)}: no newline after {lines[-1]!r}")
     if not lines:
         raise ValueError(f"{path}: empty descriptor file")
     header = lines[0].split()

@@ -7,7 +7,9 @@ from semwalk.semantics import parse_taxonomy
 
 from _oracles import (
     centred_broadcast_log_gaussians,
+    einsum_fisher_gradients,
     expanded_squared_distances,
+    full_sort_nearest,
     loop_nearest_centers,
     mask_update_centers,
 )
@@ -69,6 +71,24 @@ def components_major_broadcast(centred, means, variances):
     E-step keeps dim x points and components x points."""
     centre, xt, xt_sq = centred
     return centred_broadcast_log_gaussians((centre, xt.T, xt_sq.T), means, variances).T
+
+
+def stacked_einsum_fisher_gradients(gmm, descriptors):
+    """`einsum_fisher_gradients` from `_fisher_gradients`'s arguments:
+    the oracle per video of a videos x rows x dim stack."""
+    if descriptors.ndim == 2:
+        return einsum_fisher_gradients(gmm, descriptors)
+    pairs = [einsum_fisher_gradients(gmm, video) for video in descriptors]
+    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+
+def rowwise_full_sort_nearest(queries, stacked, k):
+    """`full_sort_nearest` from `shortlist`'s arguments: the oracle per
+    row of the queries stack."""
+    return [
+        full_sort_nearest(EncodedVector(values, queries.kind), stacked, k)
+        for values in queries.values
+    ]
 
 
 def expanded_distances_from_terms(terms, centers, out=None):

@@ -52,31 +52,36 @@ class TestWeights:
         assert weights["C"] > weights["B"] > weights["A"]
 
 
+def one_vote(train_vectors, train_labels, query, k):
+    """`knn_vote` of a one-row stack of the query."""
+    return knn_vote(train_vectors, train_labels, stack([query]), k)[0]
+
+
 class TestKnn:
     vectors = [vec([0.0, 0.0]), vec([1.0, 0.0]), vec([10.0, 0.0]), vec([11.0, 0.0])]
     labels = ["A", "A", "B", "B"]
 
     def test_k1_nearest_neighbor(self):
-        assert knn_vote(stack(self.vectors), self.labels, vec([0.2, 0.0]), 1)[0] == "A"
-        assert knn_vote(stack(self.vectors), self.labels, vec([10.4, 0.0]), 1)[0] == "B"
+        assert one_vote(stack(self.vectors), self.labels, vec([0.2, 0.0]), 1)[0] == "A"
+        assert one_vote(stack(self.vectors), self.labels, vec([10.4, 0.0]), 1)[0] == "B"
 
     def test_k3_majority(self):
-        assert knn_vote(stack(self.vectors), self.labels, vec([2.0, 0.0]), 3)[0] == "A"
+        assert one_vote(stack(self.vectors), self.labels, vec([2.0, 0.0]), 3)[0] == "A"
 
     def test_vote_shares(self):
-        winner, shares = knn_vote(stack(self.vectors), self.labels, vec([2.0, 0.0]), 3)
+        winner, shares = one_vote(stack(self.vectors), self.labels, vec([2.0, 0.0]), 3)
         assert winner == "A"
         assert shares == {"A": pytest.approx(2 / 3), "B": pytest.approx(1 / 3)}
 
     def test_stacked_training_set_checked(self):
         stacked = stack(self.vectors)
         with pytest.raises(ValueError, match="differ in length"):
-            knn_vote(stacked, self.labels[:3], vec([0.0, 0.0]), 1)
+            one_vote(stacked, self.labels[:3], vec([0.0, 0.0]), 1)
         with pytest.raises(ValueError, match="k must be"):
-            knn_vote(stacked, self.labels, vec([0.0, 0.0]), 0)
+            one_vote(stacked, self.labels, vec([0.0, 0.0]), 0)
 
     def test_k_clamped(self):
-        assert knn_vote(stack(self.vectors), self.labels, vec([0.0, 0.0]), 99)[0] in {
+        assert one_vote(stack(self.vectors), self.labels, vec([0.0, 0.0]), 99)[0] in {
             "A",
             "B",
         }
@@ -84,13 +89,13 @@ class TestKnn:
     def test_tie_prefers_smaller_mean_distance(self):
         vectors = [vec([0.0, 0.0]), vec([4.0, 0.0]), vec([1.0, 0.0]), vec([5.0, 0.0])]
         labels = ["A", "B", "A", "B"]
-        winner = knn_vote(stack(vectors), labels, vec([0.0, 0.0]), 4)[0]
+        winner = one_vote(stack(vectors), labels, vec([0.0, 0.0]), 4)[0]
         assert winner == "A"  # 2-2 votes; A's neighbors are closer
 
     def test_tie_falls_back_to_lexicographic(self):
         vectors = [vec([1.0, 0.0]), vec([-1.0, 0.0])]
         labels = ["B", "A"]
-        winner = knn_vote(stack(vectors), labels, vec([0.0, 0.0]), 2)[0]
+        winner = one_vote(stack(vectors), labels, vec([0.0, 0.0]), 2)[0]
         assert winner == "A"
 
     def test_planted_clusters(self):
@@ -99,21 +104,31 @@ class TestKnn:
         train += [vec(rng.standard_normal(2) * 0.2 + 8.0) for _ in range(10)]
         labels = ["low"] * 10 + ["high"] * 10
         query = vec(rng.standard_normal(2) * 0.2 + 8.0)
-        assert knn_vote(stack(train), labels, query, 5)[0] == "high"
+        assert one_vote(stack(train), labels, query, 5)[0] == "high"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_distance_rejected(self, bad):
         # A bad training row is rejected even when it is not among the k
         # nearest: no shortlist bound holds then, so every row is checked.
         with pytest.raises(ValueError, match="must be finite"):
-            knn_vote(stack(self.vectors), self.labels, vec([bad, 0.0]), 1)
+            one_vote(stack(self.vectors), self.labels, vec([bad, 0.0]), 1)
         vectors = self.vectors + [vec([bad, 0.0])]
         with pytest.raises(ValueError, match="must be finite"):
-            knn_vote(stack(vectors), self.labels + ["C"], vec([0.0, 0.0]), 1)
+            one_vote(stack(vectors), self.labels + ["C"], vec([0.0, 0.0]), 1)
+
+    def test_batch_votes_each_query_alone(self):
+        rng = np.random.default_rng(3)
+        train = stack([vec(rng.standard_normal(3)) for _ in range(40)])
+        labels = [f"c{i % 4}" for i in range(40)]
+        queries = [vec(rng.standard_normal(3)) for _ in range(25)]
+        for k in (1, 3, 40):
+            batch = knn_vote(train, labels, stack(queries), k)
+            assert batch == [one_vote(train, labels, q, k) for q in queries]
+        assert knn_vote(train, labels, vec(np.empty((0, 3))), 3) == []
 
     def test_empty_training(self):
         with pytest.raises(ValueError, match="empty"):
-            knn_vote(vec(np.empty((0, 1))), [], vec([0.0]), 1)
+            one_vote(vec(np.empty((0, 1))), [], vec([0.0]), 1)
 
 
 def separable_data(rng, n_a=30, n_b=30, margin=4.0):

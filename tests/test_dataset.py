@@ -119,6 +119,16 @@ class TestDescriptorFiles:
         assert ds.values.shape == (1, 2)
         assert np.array_equal(ds.values, [[0.5, -1.0]])
 
+    @pytest.mark.parametrize("cut", ["4.", "4.1", "4.12"])
+    def test_file_cut_short_rejected(self, tmp_path, cut):
+        # `write_descriptor_file` writes "2 2\n1.0 2.5\n3.25 4.125\n"; cut
+        # inside its last value, the file has lost its last line end.
+        path = tmp_path / "d.txt"
+        path.write_text(f"2 2\n1.0 2.5\n3.25 {cut}", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_descriptor_file(path)
+        assert str(info.value) == f"{path}: line 3: no newline after '3.25 {cut}'"
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("2 2\n0.5 1.0\n", encoding="utf-8")
@@ -238,7 +248,7 @@ def descriptor_texts(draw):
         pad = draw(st.sampled_from(_BLANKS))
         lines.append(pad + line + draw(st.sampled_from(_BLANKS)))
     lines.extend(draw(st.lists(st.sampled_from(_BLANKS), max_size=2)))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return newline.join(lines) + newline
 
 
 def _corrupt(text, kind, position):

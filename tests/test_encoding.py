@@ -37,6 +37,7 @@ from _oracles import (
     full_sort_nearest,
     loop_nearest_centers,
     mask_update_centers,
+    per_video_fisher_vector,
     sequential_update_centers,
 )
 from conftest import (
@@ -426,6 +427,86 @@ class TestBowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 480 * 50 * 64 * 8 / 2
+
+
+def _fisher_sets(rng, dim, offset):
+    """Videos of mixed row counts: one row, a constant video, and a group
+    of equal row counts that spans three Fisher blocks."""
+    per_block = encoding._FISHER_BLOCK_ROWS // 100
+    rows = [100] * (2 * per_block + 3) + [1, 1, 2, 7, 7, 33, encoding._FISHER_BLOCK_ROWS + 3]
+    sets = [rng.standard_normal((rows[i], dim)) * 2.0 + offset for i in rng.permutation(len(rows))]
+    sets.insert(5, np.full((6, dim), offset + 0.5))
+    return sets
+
+
+class TestFisherBlocks:
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_block_vectors_bit_equal_per_video(self, monkeypatch, offset):
+        rng = np.random.default_rng(int(offset) % 97)
+        sets = _fisher_sets(rng, 5, offset)
+        gmm = train_gmm(np.vstack(sets)[::5], 4, seed=1)
+        fisher_gradients = encoding._fisher_gradients
+        blocks = []
+
+        def recording(gmm, descriptors):
+            blocks.append(descriptors.shape)
+            return fisher_gradients(gmm, descriptors)
+
+        monkeypatch.setattr(encoding, "_fisher_gradients", recording)
+        many = encode_many(gmm, sets)
+        monkeypatch.undo()
+        # The 100-row group fills two blocks and part of a third.
+        assert [shape[0] for shape in blocks if shape[1:] == (100, 5)] == [
+            encoding._FISHER_BLOCK_ROWS // 100
+        ] * 2 + [3]
+        assert all(
+            len(shape) == 2 or shape[0] * shape[1] <= encoding._FISHER_BLOCK_ROWS
+            for shape in blocks
+        )
+        assert len(many) == len(sets)
+        for got, video in zip(many, sets):
+            assert got.kind == FV
+            assert got.values.tobytes() == encode_fisher(gmm, video).values.tobytes()
+            assert got.values.tobytes() == per_video_fisher_vector(gmm, video).tobytes()
+
+    def test_zero_gradients_encode_to_the_zero_vector(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        sets = [rng.standard_normal((4, 3)) for _ in range(3)]
+        gmm = train_gmm(np.vstack(sets), 2, seed=0)
+        want = encode_many(gmm, sets)
+        fisher_gradients = encoding._fisher_gradients
+
+        def zero_middle(gmm, descriptors):
+            grad_means, grad_vars = fisher_gradients(gmm, descriptors)
+            grad_means[1] = grad_vars[1] = 0.0
+            return grad_means, grad_vars
+
+        monkeypatch.setattr(encoding, "_fisher_gradients", zero_middle)
+        got = encode_many(gmm, sets)
+        assert not got[1].values.any()
+        assert got[0].values.tobytes() == want[0].values.tobytes()
+        assert got[2].values.tobytes() == want[2].values.tobytes()
+
+    def _peak(self, sets, gmm):
+        tracemalloc.start()
+        try:
+            vectors = encode_many(gmm, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(v.values.nbytes for v in vectors)
+
+    def test_block_temporaries_bounded_by_the_block_rows(self, monkeypatch):
+        # Beyond the vectors returned, a pass holds one block's stack,
+        # centred copy, squares and log-densities at a time; one block of
+        # all 400 videos would hold 20,000 x 32 doubles per copy.
+        rng = np.random.default_rng(24)
+        sets = [rng.standard_normal((50, 32)) for _ in range(400)]
+        gmm = train_gmm(np.vstack(sets)[::10], 10, seed=0, max_iters=5)
+        bound = 8 * encoding._FISHER_BLOCK_ROWS * 32 * 8
+        assert self._peak(sets, gmm) < bound
+        monkeypatch.setattr(encoding, "_FISHER_BLOCK_ROWS", 400 * 50)
+        assert self._peak(sets, gmm) > bound
 
 
 _GOOD_VIDEO = np.arange(12.0).reshape(4, 3)
@@ -849,26 +930,32 @@ class TestDistance:
 
 
 def _shortlist_case(kind, rng):
-    """A query and a stack on which the expansion's rounding matters."""
+    """A stack of queries and a stack of rows on which the expansion's
+    rounding matters."""
     rows, length = int(rng.integers(2, 30)), int(rng.integers(1, 70))
+    n = int(rng.integers(1, 6))
     if kind == "histograms":
         # Bow-like: few draws over many bins, so exact distance ties abound.
         draws = int(rng.integers(1, 12))
         hist = [np.bincount(rng.integers(0, length, draws), minlength=length) / draws
-                for _ in range(rows + 1)]
+                for _ in range(rows + n)]
         values = np.array(hist)
     elif kind == "duplicates":
         distinct = rng.standard_normal((max(1, rows // 3), length))
-        values = distinct[rng.integers(0, distinct.shape[0], rows + 1)]
+        values = distinct[rng.integers(0, distinct.shape[0], rows + n)]
     elif kind == "offset":
-        values = 1e3 + rng.integers(0, 3, (rows + 1, length)) / 4
+        values = 1e3 + rng.integers(0, 3, (rows + n, length)) / 4
     else:
         # Products below the smallest normal, where rounding is absolute.
-        grid = rng.integers(-3, 4, (rows + 1, min(length, 5)))
+        grid = rng.integers(-3, 4, (rows + n, min(length, 5)))
         scale = 10.0 ** rng.uniform(-163, -155)
         values = scale * grid * (1.0 + 1e-3 * rng.standard_normal(grid.shape))
-    query, stacked = values[0], values[1:]
-    return EncodedVector(query, FV), stack([EncodedVector(row, FV) for row in stacked])
+    return tuple(stack([EncodedVector(row, FV) for row in part]) for part in (values[:n], values[n:]))
+
+
+def one_shortlist(query, stacked, k):
+    """`shortlist` of one query."""
+    return shortlist(stack([query]), stacked, k)[0]
 
 
 class TestShortlist:
@@ -880,46 +967,75 @@ class TestShortlist:
     def test_keeps_every_full_sort_neighbour(self, seed, kind):
         rng = np.random.default_rng(seed)
         for _ in range(60):
-            query, stacked = _shortlist_case(kind, rng)
-            every = distance(query, stacked)
+            queries, stacked = _shortlist_case(kind, rng)
             rows_total = stacked.values.shape[0]
-            for k in range(1, rows_total + 1):
-                rows = shortlist(query, stacked, k)
-                assert np.all(np.diff(rows) > 0)
-                assert np.isin(full_sort_nearest(query, stacked, k), rows).all()
-                # What callers do: exact distances on the kept rows, a
-                # stable sort, the first k: the full sort's indices and bits.
-                kept = distance(query, EncodedVector(stacked.values[rows], FV))
-                pick = np.argsort(kept, kind="stable")[:k]
-                order = np.argsort(every, kind="stable")[:k]
-                assert rows[pick].tolist() == order.tolist()
-                assert kept[pick].tobytes() == every[order].tobytes()
+            for k in range(1, rows_total + 3):
+                kept_rows = shortlist(queries, stacked, k)
+                assert len(kept_rows) == queries.values.shape[0]
+                for values, rows in zip(queries.values, kept_rows):
+                    self._check_row(EncodedVector(values, FV), stacked, k, rows)
+
+    @staticmethod
+    def _check_row(query, stacked, k, rows):
+        assert np.all(np.diff(rows) > 0)
+        assert np.isin(full_sort_nearest(query, stacked, k), rows).all()
+        # What callers do: exact distances on the kept rows, a stable
+        # sort, the first k: the full sort's indices and bits.
+        kept = distance(query, EncodedVector(stacked.values[rows], FV))
+        pick = np.argsort(kept, kind="stable")[:k]
+        every = distance(query, stacked)
+        order = np.argsort(every, kind="stable")[:k]
+        assert rows[pick].tolist() == order.tolist()
+        assert kept[pick].tobytes() == every[order].tobytes()
+
+    def test_an_unbounded_query_keeps_every_row_and_others_their_own(self):
+        stacked = stack([vec([float(i), 0.0]) for i in range(6)])
+        queries = stack([vec([0.1, 0.0]), vec([np.nan, 0.0]), vec([1e154, 0.0]), vec([4.9, 0.0])])
+        kept = shortlist(queries, stacked, 1)
+        assert [rows.tolist() for rows in kept] == [[0], list(range(6)), list(range(6)), [5]]
+        for values, rows in zip(queries.values[[0, 2, 3]], kept[:1] + kept[2:]):
+            self._check_row(EncodedVector(values, FV), stacked, 1, rows)
 
     def test_far_rows_are_left_out(self):
         stacked = stack([vec([float(i), 0.0]) for i in range(10)])
-        assert shortlist(vec([0.1, 0.0]), stacked, 2).tolist() == [0, 1]
-        assert shortlist(vec([5.0, 0.0]), stacked, 1).tolist() == [5]
+        assert one_shortlist(vec([0.1, 0.0]), stacked, 2).tolist() == [0, 1]
+        assert one_shortlist(vec([5.0, 0.0]), stacked, 1).tolist() == [5]
 
     def test_every_row_when_k_reaches_the_row_count(self):
         stacked = stack([vec([float(i)]) for i in range(4)])
-        assert shortlist(vec([0.0]), stacked, 4).tolist() == [0, 1, 2, 3]
-        assert shortlist(vec([0.0]), stacked, 9).tolist() == [0, 1, 2, 3]
+        assert one_shortlist(vec([0.0]), stacked, 4).tolist() == [0, 1, 2, 3]
+        assert one_shortlist(vec([0.0]), stacked, 9).tolist() == [0, 1, 2, 3]
 
     def test_every_row_when_no_bound_holds(self):
         stacked = stack([vec([0.0]), vec([1.0]), vec([np.inf])])
-        assert shortlist(vec([0.0]), stacked, 1).tolist() == [0, 1, 2]
+        assert one_shortlist(vec([0.0]), stacked, 1).tolist() == [0, 1, 2]
         stacked = stack([vec([0.0]), vec([1.0]), vec([2.0])])
-        assert shortlist(vec([np.nan]), stacked, 1).tolist() == [0, 1, 2]
-        assert shortlist(vec([1e154]), stacked, 1).tolist() == [0, 1, 2]
+        assert one_shortlist(vec([np.nan]), stacked, 1).tolist() == [0, 1, 2]
+        assert one_shortlist(vec([1e154]), stacked, 1).tolist() == [0, 1, 2]
 
     def test_rejects_what_distance_rejects(self):
         stacked = stack([vec([1.0, 2.0]), vec([3.0, 4.0])])
         with pytest.raises(ValueError, match="k must be >= 1"):
-            shortlist(vec([1.0, 2.0]), stacked, 0)
+            one_shortlist(vec([1.0, 2.0]), stacked, 0)
         with pytest.raises(ValueError, match="kind"):
-            shortlist(vec([1.0, 2.0], kind=BOW), stacked, 1)
+            one_shortlist(vec([1.0, 2.0], kind=BOW), stacked, 1)
         with pytest.raises(ValueError, match="length"):
-            shortlist(vec([1.0]), stacked, 1)
+            one_shortlist(vec([1.0]), stacked, 1)
+
+    def test_memory_is_one_queries_by_rows_block(self):
+        # The product is queries x rows; a queries x rows x length
+        # temporary, as broadcasting differences would take, is 8 times it.
+        rng = np.random.default_rng(25)
+        queries = stack([vec(row) for row in rng.standard_normal((200, 8))])
+        stacked = stack([vec(row) for row in rng.standard_normal((2000, 8))])
+        stacked.squared_norms
+        tracemalloc.start()
+        try:
+            kept = shortlist(queries, stacked, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(rows.nbytes for rows in kept) < 3 * 200 * 2000 * 8
 
     def test_squared_norms_computed_once_and_read_only(self):
         stacked = stack([vec([3.0, 4.0]), vec([1.0, 0.0])])

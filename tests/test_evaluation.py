@@ -22,8 +22,6 @@ from semwalk.evaluation import (
 from semwalk.semantics import AH, AM, AS, parse_taxonomy, semantic_classes
 
 from _oracles import (
-    einsum_fisher_gradients,
-    full_sort_nearest,
     loop_markov_walk,
     loop_normalize_transitions,
     loop_rank_global,
@@ -35,6 +33,8 @@ from conftest import (
     components_major_broadcast,
     expanded_distances_from_terms,
     oracle_nearest_centers,
+    rowwise_full_sort_nearest,
+    stacked_einsum_fisher_gradients,
 )
 
 SMALL_SPEC = SyntheticSpec(
@@ -427,13 +427,26 @@ class TestFisherKernels:
         ds, tax = noisy_dataset
         config = EvalConfig(encoding="fv", gamma=6)
         fast = run_lopo(ds, tax, AS, method, config)
+        # Count the oracle's blocks, so that a run the swap never reaches fails.
+        fisher_calls = []
+
+        def fisher_gradients(gmm, descriptors):
+            fisher_calls.append(len(descriptors) if descriptors.ndim == 3 else 1)
+            return stacked_einsum_fisher_gradients(gmm, descriptors)
+
         monkeypatch.setattr(semwalk.encoding, "_log_gaussians", components_major_broadcast)
-        monkeypatch.setattr(semwalk.encoding, "fisher_gradients", einsum_fisher_gradients)
+        monkeypatch.setattr(semwalk.encoding, "_fisher_gradients", fisher_gradients)
         slow = run_lopo(ds, tax, AS, method, config)
         assert [r.predicted_class for r in fast.records] == [
             r.predicted_class for r in slow.records
         ]
         assert fast.accuracy == slow.accuracy < 1.0
+        # Every fold encodes every video once, in blocks of at most
+        # `_FISHER_BLOCK_ROWS` rows: two blocks per fold here.
+        assert sum(fisher_calls) == len(ds) * len(ds.persons())
+        assert len(fisher_calls) == 2 * len(ds.persons())
+        rows = SyntheticSpec().rows_per_video
+        assert max(fisher_calls) * rows <= semwalk.encoding._FISHER_BLOCK_ROWS
 
 
 class TestOracleKernels:
@@ -482,8 +495,14 @@ class TestOracleKernels:
             return expanded_distances_from_terms(terms, centers, out)
 
         monkeypatch.setattr(semwalk.graph, "_squared_distances", graph_distances)
-        monkeypatch.setattr(semwalk.inference, "shortlist", full_sort_nearest)
-        monkeypatch.setattr(semwalk.baselines, "shortlist", full_sort_nearest)
+        shortlist_calls = []
+
+        def shortlist(queries, stacked, k):
+            shortlist_calls.append(queries.values.shape[0])
+            return rowwise_full_sort_nearest(queries, stacked, k)
+
+        monkeypatch.setattr(semwalk.inference, "shortlist", shortlist)
+        monkeypatch.setattr(semwalk.baselines, "shortlist", shortlist)
         monkeypatch.setattr(semwalk.encoding, "_update_centers", columns_mask_update_centers)
         monkeypatch.setattr(semwalk.graph, "rank_global", loop_rank_global)
         monkeypatch.setattr(semwalk.graph, "rank_local", loop_rank_local)
@@ -496,6 +515,9 @@ class TestOracleKernels:
         assert shipped.accuracy == oracle.accuracy < 1.0
         assert len(read) == len(ds)
         assert len(graph_calls) == (len(ds.persons()) if method == "sembed" else 0)
+        # One shortlist per fold takes all of the fold's queries.
+        assert len(shortlist_calls) == len(ds.persons())
+        assert sum(shortlist_calls) == len(ds)
         # Every fold fits k-means (bow, or the start of EM); bow also
         # encodes its videos in stacked blocks.
         assert kmeans_calls.count(2) > len(ds.persons())

@@ -450,6 +450,18 @@ class TestGraphFiles:
             save_graph(dataclasses.replace(svg, mode="vreb"), out)
         assert not out.exists()
 
+    def test_negative_m_refused_on_save_and_load(self, tmp_path):
+        path, lines = self._dump(tmp_path)
+        lines[0] = lines[0].replace(" m 4", " m -1")
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"graph\.txt: line 1: m must be >= 0, got -1$"):
+            load_graph(path)
+        svg = build_svg(random_nodes(np.random.default_rng(16), 8, 3), None, VERB, m=4)
+        out = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=r"^m must be >= 0, got -1$"):
+            save_graph(dataclasses.replace(svg, m=-1), out)
+        assert not out.exists()
+
     def test_truncated_edge_section_rejected(self, tmp_path):
         path, lines = self._dump(tmp_path)
         path.write_text("".join(lines[:-3]), encoding="utf-8")

@@ -188,7 +188,7 @@ class TestMarkovWalk:
 
 def classify_at_t0(g, query, z, classes):
     A = normalize_transitions(g)
-    return classify_batch(g, A, None, VERB, [vec(query)], WalkConfig(z=z, t=0), classes)[0]
+    return classify_batch(g, A, None, VERB, stack([vec(query)]), WalkConfig(z=z, t=0), classes)[0]
 
 
 class TestClassDistribution:
@@ -302,7 +302,7 @@ class TestClassMasses:
                 [embed_query(g, distance(q, g.vector_matrix), z) for q in queries]
             )
             want = forward_class_distribution(g, A, classes, starts, 0)
-            got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=0))
+            got = classify_batch(g, A, None, VERB, stack(queries), WalkConfig(z=z, t=0))
             assert got == [(argmax_class(dist, 0, z), dist) for dist in want]
 
     @pytest.mark.parametrize("z,t", [(z, t) for z in (1, 2, 4, 6) for t in (0, 1, 3, 8)])
@@ -319,7 +319,7 @@ class TestClassMasses:
             [embed_query(g, distance(q, g.vector_matrix), z) for q in queries]
         )
         want = forward_class_distribution(g, A, classes, starts, t)
-        got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
+        got = classify_batch(g, A, None, VERB, stack(queries), WalkConfig(z=z, t=t))
         assert [label for label, _dist in got] == [argmax_class(dist, t, z) for dist in want]
 
     def test_random_tie_heavy_graphs_give_one_class_in_both_orders(self):
@@ -339,7 +339,7 @@ class TestClassMasses:
                 )
                 for t in (1, 3, 8):
                     want = forward_class_distribution(g, A, classes, starts, t)
-                    got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
+                    got = classify_batch(g, A, None, VERB, stack(queries), WalkConfig(z=z, t=t))
                     assert [label for label, _ in got] == [argmax_class(d, t, z) for d in want]
 
     def test_tie_rounded_apart_gives_one_class_in_both_orders(self):
@@ -355,7 +355,7 @@ class TestClassMasses:
         query = vec([1.5, 2.0])
         start = embed_query(g, distance(query, g.vector_matrix), 4)[:, None]
         forward = forward_class_distribution(g, A, classes, start, 1)[0]
-        [(label, backward)] = classify_batch(g, A, None, VERB, [query], WalkConfig(z=4, t=1))
+        [(label, backward)] = classify_batch(g, A, None, VERB, stack([query]), WalkConfig(z=4, t=1))
         assert forward["a"] == forward["c"] and backward["a"] < backward["c"]
         assert label == argmax_class(forward, 1, 4) == "a"
 
@@ -366,9 +366,9 @@ class TestClassMasses:
         for _ in range(10):
             g, A, queries = random_walk_case(rng)
             alone = [classify(g, A, None, VERB, q, config) for q in queries]
-            assert classify_batch(g, A, None, VERB, queries, config) == alone
+            assert classify_batch(g, A, None, VERB, stack(queries), config) == alone
             order = rng.permutation(len(queries))
-            shuffled = classify_batch(g, A, None, VERB, [queries[k] for k in order], config)
+            shuffled = classify_batch(g, A, None, VERB, stack([queries[k] for k in order]), config)
             assert shuffled == [alone[k] for k in order]
 
     def test_walked_once_per_graph_matrix_steps_and_partition(self, monkeypatch):
@@ -531,18 +531,20 @@ class TestBatch:
                 for i in range(20)
             ]
             g = edgeless_graph(nodes)
-            query = vec(rng.standard_normal(dim))
-            every = [distance(query, stack([node.vector]))[0] for node in nodes]
+            queries = [vec(rng.standard_normal(dim)) for _ in range(3)]
             for z in (1, 4, 19, 20, 25):
-                nearest, dists = query_distances(g, query, z)
-                order = sorted(range(20), key=lambda i: (every[i], i))[:z]
-                assert nearest.tolist() == order
-                assert dists.tolist() == [every[i] for i in order]
+                found = query_distances(g, stack(queries), z)
+                assert len(found) == len(queries)
+                for query, (nearest, dists) in zip(queries, found):
+                    every = [distance(query, stack([node.vector]))[0] for node in nodes]
+                    order = sorted(range(20), key=lambda i: (every[i], i))[:z]
+                    assert nearest.tolist() == order
+                    assert dists.tolist() == [every[i] for i in order]
 
     def test_query_distances_need_vectors(self):
         g = edgeless_graph([SvgNode(segment_id="s0", annotation="a", vector=None)])
         with pytest.raises(ValueError, match="no vectors"):
-            query_distances(g, vec([0.0]), 1)
+            query_distances(g, stack([vec([0.0])]), 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_distance_rejected(self, bad):
@@ -550,10 +552,10 @@ class TestBatch:
         # no shortlist bound holds then, so every node's distance is checked.
         g = make_graph([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ["a", "b", "c"])
         with pytest.raises(ValueError, match="must be finite"):
-            query_distances(g, vec([bad, 0.0]), 1)
+            query_distances(g, stack([vec([bad, 0.0])]), 1)
         nodes = [SvgNode("s0", "a", vec([0.0])), SvgNode("s1", "a", vec([bad]))]
         with pytest.raises(ValueError, match="must be finite"):
-            query_distances(edgeless_graph(nodes), vec([0.0]), 1)
+            query_distances(edgeless_graph(nodes), stack([vec([0.0])]), 1)
 
     def test_node_stack_is_read_only(self):
         g = make_graph([[0.0, 0.0], [1.0, 2.0]], ["a", "b"])
@@ -568,7 +570,7 @@ class TestBatch:
         config = WalkConfig(z=z, t=t)
         for _ in range(15):
             g, A, queries = random_walk_case(rng)
-            batch = classify_batch(g, A, None, VERB, queries, config)
+            batch = classify_batch(g, A, None, VERB, stack(queries), config)
             assert batch == [classify(g, A, None, VERB, q, config) for q in queries]
 
     @pytest.mark.parametrize("z,t", [(1, 0), (2, 3), (40, 5)])
@@ -582,7 +584,7 @@ class TestBatch:
                 d = np.array([distance(q, stack([node.vector]))[0] for node in g.nodes])
                 start = embed_query(g, d, z)[:, None]
                 expected.append(forward_class_distribution(g, A, classes, start, t)[0])
-            got = classify_batch(g, A, None, VERB, queries, WalkConfig(z=z, t=t))
+            got = classify_batch(g, A, None, VERB, stack(queries), WalkConfig(z=z, t=t))
             # The backward walk adds in another order: equal predictions,
             # distributions equal up to rounding.
             assert [label for label, _dist in got] == [argmax_class(d, t, z) for d in expected]
@@ -615,4 +617,4 @@ class TestBatch:
     def test_empty_batch(self):
         g = make_graph([[0.0, 0.0], [1.0, 0.0]], ["a", "b"])
         A = normalize_transitions(g)
-        assert classify_batch(g, A, None, VERB, [], WalkConfig()) == []
+        assert classify_batch(g, A, None, VERB, vec(np.empty((0, 2))), WalkConfig()) == []
