@@ -25,7 +25,7 @@ does not depend on the batch it arrives in, and at t = 0 (C = M) it has
 the bits of summing its start mass per class in node order.
 
 The z closest nodes come from `encoding.shortlist`, which bounds every
-query's candidates with one queries x nodes product per batch; exact
+query's candidates with queries x nodes products of a bounded size; exact
 distances are taken on those nodes only, so the neighbors and their
 distances are those of a stable sort over every node.
 """

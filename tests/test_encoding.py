@@ -1022,20 +1022,43 @@ class TestShortlist:
         with pytest.raises(ValueError, match="length"):
             one_shortlist(vec([1.0]), stacked, 1)
 
-    def test_memory_is_one_queries_by_rows_block(self):
-        # The product is queries x rows; a queries x rows x length
-        # temporary, as broadcasting differences would take, is 8 times it.
-        rng = np.random.default_rng(25)
-        queries = stack([vec(row) for row in rng.standard_normal((200, 8))])
-        stacked = stack([vec(row) for row in rng.standard_normal((2000, 8))])
-        stacked.squared_norms
+    @staticmethod
+    def _peak(queries, stacked):
         tracemalloc.start()
         try:
             kept = shortlist(queries, stacked, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - sum(rows.nbytes for rows in kept) < 3 * 200 * 2000 * 8
+        return peak - sum(rows.nbytes for rows in kept)
+
+    def test_memory_is_one_block_of_estimates(self, monkeypatch):
+        # Four blocks of queries: the temporaries are one block's
+        # estimates and its partitioned copy, not all queries x rows (nor
+        # queries x rows x length, as broadcasting differences would take).
+        rng = np.random.default_rng(25)
+        rows = 2000
+        count = 4 * encoding._SHORTLIST_BLOCK // rows
+        queries = stack([vec(row) for row in rng.standard_normal((count, 8))])
+        stacked = stack([vec(row) for row in rng.standard_normal((rows, 8))])
+        stacked.squared_norms
+        bound = 3 * encoding._SHORTLIST_BLOCK * 8
+        assert self._peak(queries, stacked) < bound
+        monkeypatch.setattr(encoding, "_SHORTLIST_BLOCK", count * rows)
+        assert self._peak(queries, stacked) > bound
+
+    @pytest.mark.parametrize("kind", ["histograms", "offset"])
+    def test_queries_taken_one_block_at_a_time(self, monkeypatch, kind):
+        # A block of one estimate takes one query per product.
+        monkeypatch.setattr(encoding, "_SHORTLIST_BLOCK", 1)
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            queries, stacked = _shortlist_case(kind, rng)
+            for k in (1, 2):
+                kept_rows = shortlist(queries, stacked, k)
+                assert len(kept_rows) == queries.values.shape[0]
+                for values, rows in zip(queries.values, kept_rows):
+                    self._check_row(EncodedVector(values, FV), stacked, k, rows)
 
     def test_squared_norms_computed_once_and_read_only(self):
         stacked = stack([vec([3.0, 4.0]), vec([1.0, 0.0])])
