@@ -185,30 +185,6 @@ def subsample(
     return np.vstack(picked)
 
 
-def _point_terms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The per-point factors of `_squared_distances`: 2x and |x|^2, of a
-    points x dim matrix or a stack of them."""
-    return 2.0 * points, np.sum(points**2, axis=-1)[..., None]
-
-
-def _squared_distances(
-    terms: tuple[np.ndarray, np.ndarray],
-    centers: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pairwise squared Euclidean distances, points x centers: the
-    all-pairs kernel of `graph.distance_matrix`.
-
-    |x|^2 - 2x.c + |c|^2, clipped at 0, from the points' `_point_terms`,
-    built in one points x centers array, `out` if given.
-    """
-    twice, norms = terms
-    sq = np.matmul(twice, centers.T, out=out)
-    np.subtract(norms, sq, out=sq)
-    np.add(sq, np.sum(centers**2, axis=-1), out=sq)
-    return np.maximum(sq, 0.0, out=sq)
-
-
 def _lifted(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The form `_nearest_centers` takes: the points with a trailing
     column of ones, points x (dim + 1) or a stack of them, and their
@@ -646,16 +622,19 @@ def encode_fisher(gmm: GmmModel, descriptors: np.ndarray) -> EncodedVector:
 
 
 def stack(vectors: Sequence[EncodedVector]) -> EncodedVector:
-    """Encodings of one kind and length stacked row-wise."""
+    """1-D encodings of one kind and length, copied row-wise into one
+    read-only stack."""
     if not vectors:
         raise ValueError("no encodings to stack")
     kinds = {v.kind for v in vectors}
     if len(kinds) != 1:
         raise ValueError(f"mixed encoding kinds: {sorted(kinds)}")
     lengths = {v.values.shape for v in vectors}
+    if any(len(shape) != 1 for shape in lengths):
+        raise ValueError(f"only 1-D encodings stack, got shapes {sorted(lengths)}")
     if len(lengths) != 1:
         raise ValueError(f"mixed encoding lengths: {sorted(lengths)}")
-    values = np.vstack([v.values for v in vectors])
+    values = np.array([v.values for v in vectors])
     values.flags.writeable = False
     return EncodedVector(values=values, kind=kinds.pop())
 

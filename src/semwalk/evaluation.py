@@ -10,10 +10,11 @@ class partition is computed once over every annotation in the dataset
 (train and test alike) so the true class is always well defined.
 
 One fold loop, `sweep`, evaluates a list of configs; `run_lopo` is its
-one-config case.  Within a fold, configs with the same encoding, gamma,
-fraction and seed share one encoder and one encoding of every segment,
-sembed configs that also share m share one graph, and configs that
-also agree on every field their method reads share the fold's records.
+one-config case.  Within a fold, configs with the same `ENCODER_FIELDS`
+(encoding, gamma, fraction and seed) share one encoder and one encoding
+of every segment, sembed configs that also share m share one graph, and
+configs that also agree on every field their method reads share the
+fold's records.
 All randomness derives from per-fold seed sequences keyed by the
 person's rank among the dataset's sorted persons.  The CLI's staged
 commands and each fold share the stage functions `train_encoder`,
@@ -42,8 +43,11 @@ LINEAR = "linear"
 METHODS = (SEMBED, KNN, LINEAR)
 ENCODINGS = (encoding.BOW, encoding.FV)
 SWEEP_KEYS = ("z", "t", "m", "gamma", "k")
-# The config fields each method's classification reads, beyond those
-# that pick the encoder.
+# The config fields that pick a fold's encoder: configs that agree on
+# them share one encoder and one encoding of every segment.
+ENCODER_FIELDS = ("encoding", "gamma", "fraction", "seed")
+# The config fields each method's classification reads, beyond
+# `ENCODER_FIELDS`.
 METHOD_FIELDS = {SEMBED: ("m", "z", "t"), KNN: ("k",), LINEAR: ("lam", "epochs", "step")}
 # Option names that differ from the config field they set; every other
 # option is named after its field.  Report headers use the same names.
@@ -235,11 +239,11 @@ def sweep(
     """Leave-one-person-out evaluation of each config, from one pass over
     the folds; one report per config, in order.
 
-    Within a fold, configs with the same encoding, gamma, fraction and
-    seed share one encoder and one encoding of every segment, sembed
-    configs that also share m share one graph and transition matrix,
-    and configs that also agree on the method's `METHOD_FIELDS` share
-    one classification of the fold's queries.
+    Within a fold, configs with the same `ENCODER_FIELDS` share one
+    encoder and one encoding of every segment, sembed configs that also
+    share m share one graph and transition matrix, and configs that also
+    agree on the method's `METHOD_FIELDS` share one classification of
+    the fold's queries.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -264,7 +268,7 @@ def sweep(
         classified: dict[tuple, list[QueryRecord]] = {}
         for config, config_records in zip(configs, records):
             seed = _fold_seed(config.seed, rank)
-            key = (config.encoding, config.gamma, config.fraction, config.seed)
+            key = tuple(getattr(config, name) for name in ENCODER_FIELDS)
             if key not in encodings:
                 # Only training descriptors fit the encoder; every segment is encoded.
                 encodings[key] = encode_segments(dataset, train_encoder(train, config, seed))

@@ -30,7 +30,6 @@ from scipy.sparse import csc_array
 from . import semantics
 from .dataset import atomic_write_text, parse_count, read_lines
 from .encoding import DISTANCE_EPSILON, EncodedVector, stack
-from .encoding import _point_terms, _squared_distances
 
 SEMANTIC = "semantic"
 VISUAL = "visual"
@@ -110,12 +109,24 @@ class SvgGraph:
         return {}
 
 
+def _squared_distances(points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between every pair of rows of
+    `points`: the all-pairs kernel of `distance_matrix`.
+
+    |x|^2 - 2x.y + |y|^2, clipped at 0, built in one rows x rows array.
+    """
+    norms = np.sum(points**2, axis=-1)
+    sq = np.matmul(2.0 * points, points.T)
+    np.subtract(norms[:, None], sq, out=sq)
+    np.add(sq, norms, out=sq)
+    return np.maximum(sq, 0.0, out=sq)
+
+
 def distance_matrix(vectors: Sequence[EncodedVector]) -> np.ndarray:
     """Symmetric pairwise Euclidean distances with a zero diagonal."""
     if len(vectors) < 2:
         raise ValueError("need at least 2 vectors")
-    stacked = stack(vectors).values
-    dist = np.sqrt(_squared_distances(_point_terms(stacked), stacked))
+    dist = np.sqrt(_squared_distances(stack(vectors).values))
     np.fill_diagonal(dist, 0.0)
     return (dist + dist.T) / 2.0
 

@@ -8,7 +8,6 @@ from semwalk.semantics import parse_taxonomy
 from _oracles import (
     centred_broadcast_log_gaussians,
     einsum_fisher_gradients,
-    expanded_squared_distances,
     full_sort_nearest,
     loop_nearest_centers,
     mask_update_centers,
@@ -89,12 +88,6 @@ def rowwise_full_sort_nearest(queries, stacked, k):
         full_sort_nearest(EncodedVector(values, queries.kind), stacked, k)
         for values in queries.values
     ]
-
-
-def expanded_distances_from_terms(terms, centers, out=None):
-    """`expanded_squared_distances` from `_squared_distances`'s
-    arguments; halving 2x is exact, so this recovers the points."""
-    return expanded_squared_distances(terms[0] / 2.0, centers)
 
 
 def columns_mask_update_centers(columns, labels, centers):

@@ -1,13 +1,16 @@
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semwalk.cli import _DEST, _Options, build_parser, dispatch
+from semwalk.cli import _config, _settings, build_parser, dispatch
 from semwalk.dataset import parse_manifest, write_descriptor_file
 from semwalk.encoding import load_model, save_model
 from semwalk.evaluation import (
+    OPTION_NAMES,
+    SWEEP_KEYS,
     EvalConfig,
     SyntheticSpec,
     encode_segments,
@@ -202,14 +205,61 @@ def _non_default(field):
     [("evaluate", EvalConfig), ("gen-synthetic", SyntheticSpec), ("classify", WalkConfig)],
 )
 def test_every_config_field_has_a_flag(command, cls):
-    option = {dest: name for name, dest in _DEST.items()}
     values = {f.name: _non_default(f) for f in fields(cls)}
     argv = [command]
     for name, value in values.items():
-        argv += [f"--{option.get(name, name).replace('_', '-')}", str(value)]
-    built = _Options(build_parser().parse_args(argv)).config(cls)
+        argv += [f"--{OPTION_NAMES.get(name, name).replace('_', '-')}", str(value)]
+    built = _config(cls, _settings(build_parser().parse_args(argv)))
     assert built == cls(**values)
     assert all(getattr(built, f.name) != f.default for f in fields(cls))
+
+
+# Each subcommand's value-taking options, as they were listed by hand
+# before the CLI took them from the dataclasses; every subcommand also
+# takes --config, classify --distributions and sweep its grid keys.
+OPTIONS = {
+    "encode": "manifest encoding gamma fraction seed out",
+    "build-graph": "manifest taxonomy mode model m out",
+    "classify": "graph manifest queries model taxonomy mode z t out",
+    "evaluate": "manifest taxonomy mode method encoding gamma m z t k lambda fraction seed "
+                "sample epochs step out",
+    "sweep": "manifest taxonomy mode method encoding lambda fraction seed sample epochs "
+             "step out",
+    "gen-synthetic": "clusters points dim separation sigma persons seed rows-per-video "
+                     "synonym-clusters hyponym-clusters out",
+}
+INT_OPTIONS = {
+    "gamma", "m", "z", "t", "k", "seed", "sample", "epochs", "clusters", "points", "dim",
+    "persons", "rows-per-video", "synonym-clusters", "hyponym-clusters",
+}
+FLOAT_OPTIONS = {"lambda", "fraction", "step", "separation", "sigma"}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_options_types_and_defaults_are_pinned(command, capsys):
+    assert dispatch([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    names = OPTIONS[command].split() + (list(SWEEP_KEYS) if command == "sweep" else [])
+    extra = {"--help", "--config"} | ({"--distributions"} if command == "classify" else set())
+    assert listed == {f"--{name}" for name in names} | extra
+    parser = build_parser()
+    defaults = vars(parser.parse_args([command]))
+    assert defaults.get("distributions", False) is False
+    assert {key for key, value in defaults.items() if value is not None} <= {
+        "command", "func", "distributions",
+    }
+    for name in names:
+        if command == "sweep" and name in SWEEP_KEYS:
+            raw, want = "1,2", [1, 2]  # the grid axis the sweep runs over
+        elif name in INT_OPTIONS:
+            raw, want = "3", 3
+        elif name in FLOAT_OPTIONS:
+            raw, want = "0.5", 0.5
+        else:
+            raw, want = "x", "x"
+        parsed = vars(parser.parse_args([command, f"--{name}", raw]))
+        changed = [value for key, value in parsed.items() if value != defaults.get(key)]
+        assert changed == [want] and type(changed[0]) is type(want), (command, name)
 
 
 class TestConfigFile:
@@ -235,6 +285,48 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{config}: line 2: m: expected int, got 'abc'" in err
         assert err.count("\n") == 1
+
+
+class TestOtherSubcommandsKeys:
+    """A config file may hold keys of other subcommands: each subcommand
+    ignores them, values no run of its own could take included."""
+
+    def _twice(self, tmp_path, argv, text):
+        config = tmp_path / "run.cfg"
+        config.write_text(text, encoding="utf-8")
+        plain, configured = tmp_path / "plain.txt", tmp_path / "configured.txt"
+        assert dispatch([*argv, "--out", str(plain)]) == 0
+        assert dispatch([*argv, "--config", str(config), "--out", str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("text", ["z=0\n", "z=2,4\n", "lambda=3\n"])
+    def test_encode_writes_the_same_model(self, tmp_path, text):
+        data = gen(tmp_path, "data")
+        argv = ["encode", "--manifest", str(data / "manifest.tsv"), "--encoding", "bow",
+                "--gamma", "4"]
+        self._twice(tmp_path, argv, text)
+
+    @pytest.mark.parametrize("text", ["k=0\n", "lambda=3\n"])
+    def test_build_graph_writes_the_same_graph(self, tmp_path, text):
+        data = gen(tmp_path, "data")
+        manifest, model = str(data / "manifest.tsv"), str(tmp_path / "model.txt")
+        assert dispatch(
+            ["encode", "--manifest", manifest, "--encoding", "bow", "--gamma", "4",
+             "--out", model]
+        ) == 0
+        argv = ["build-graph", "--manifest", manifest, "--mode", "verb", "--model", model]
+        self._twice(tmp_path, argv, text)
+
+    def test_unknown_key_still_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("z=0\ngama=4\n", encoding="utf-8")
+        assert dispatch(
+            ["encode", "--manifest", str(tmp_path / "missing.tsv"), "--config", str(config),
+             "--out", str(tmp_path / "model.txt")]
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"semwalk: error: {config}: line 2: unknown key 'gama'\n"
+        )
 
 
 class TestInputNotUtf8:

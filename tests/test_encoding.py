@@ -33,7 +33,6 @@ from semwalk.encoding import (
 from _oracles import (
     broadcast_log_gaussians,
     einsum_fisher_gradients,
-    expanded_squared_distances,
     full_sort_nearest,
     loop_nearest_centers,
     mask_update_centers,
@@ -205,22 +204,6 @@ class TestKmeans:
 
 
 class TestKmeansKernel:
-    @pytest.mark.parametrize("n,k,dim", [(1, 1, 1), (7, 3, 1), (200, 16, 32), (501, 64, 5)])
-    def test_squared_distances_match_expanded_form(self, n, k, dim):
-        rng = np.random.default_rng(n + k)
-        points = rng.standard_normal((n, dim)) * 4.0 + 1.0
-        centers = rng.standard_normal((k, dim)) * 4.0
-        terms = encoding._point_terms(points)
-        want = expanded_squared_distances(points, centers)
-        assert np.array_equal(encoding._squared_distances(terms, centers), want)
-        out = np.empty((n, k))
-        got = encoding._squared_distances(terms, centers, out=out)
-        assert got is out
-        assert np.array_equal(got, want)
-        column = np.empty((n, 1))
-        encoding._squared_distances(terms, centers[-1:], out=column)
-        assert np.array_equal(column, expanded_squared_distances(points, centers[-1:]))
-
     @pytest.mark.parametrize("n,k,dim", [(1, 1, 1), (7, 3, 1), (200, 16, 32), (501, 64, 5)])
     def test_nearest_centers_match_oracle(self, n, k, dim):
         rng = np.random.default_rng(n * k)
@@ -927,6 +910,19 @@ class TestDistance:
             stack([vec([1.0]), vec([1.0, 2.0])])
         with pytest.raises(ValueError, match="no encodings"):
             stack([])
+
+    def test_stack_rejects_encodings_that_are_not_1d(self):
+        rows = stack([vec([1.0, 2.0]), vec([3.0, 4.0])])
+        with pytest.raises(ValueError, match=r"only 1-D encodings stack, got shapes \[\(2, 2\)\]"):
+            stack([rows, rows])
+        with pytest.raises(ValueError, match="only 1-D"):
+            stack([vec(1.0)])
+
+    def test_stack_copies_rows_read_only(self):
+        rows = np.random.default_rng(4).standard_normal((5, 7))
+        stacked = stack([vec(row) for row in rows])
+        assert stacked.values.tobytes() == rows.tobytes()
+        assert stacked.values.shape == (5, 7) and not stacked.values.flags.writeable
 
 
 def _shortlist_case(kind, rng):

@@ -22,6 +22,7 @@ from semwalk.evaluation import (
 from semwalk.semantics import AH, AM, AS, parse_taxonomy, semantic_classes
 
 from _oracles import (
+    expanded_squared_distances,
     loop_markov_walk,
     loop_normalize_transitions,
     loop_rank_global,
@@ -31,7 +32,6 @@ from _oracles import (
 from conftest import (
     columns_mask_update_centers,
     components_major_broadcast,
-    expanded_distances_from_terms,
     oracle_nearest_centers,
     rowwise_full_sort_nearest,
     stacked_einsum_fisher_gradients,
@@ -487,12 +487,11 @@ class TestOracleKernels:
             return oracle_nearest_centers(lifted, centers, out)
 
         monkeypatch.setattr(semwalk.encoding, "_nearest_centers", nearest_centers)
-        # graph.py holds its own name for its kernel.
         graph_calls = []
 
-        def graph_distances(terms, centers, out=None):
-            graph_calls.append(centers.shape)
-            return expanded_distances_from_terms(terms, centers, out)
+        def graph_distances(points):
+            graph_calls.append(points.shape)
+            return expanded_squared_distances(points, points)
 
         monkeypatch.setattr(semwalk.graph, "_squared_distances", graph_distances)
         shortlist_calls = []

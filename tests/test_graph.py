@@ -86,6 +86,12 @@ class TestDistanceMatrix:
         got = distance_matrix([vec(row, kind) for row in rows])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n,dim", [(1, 1), (7, 1), (200, 32), (501, 5)])
+    def test_kernel_bit_equal_to_expanded_form(self, n, dim):
+        points = np.random.default_rng(n + dim).standard_normal((n, dim)) * 4.0 + 1.0
+        got = semwalk.graph._squared_distances(points)
+        assert got.tobytes() == expanded_squared_distances(points, points).tobytes()
+
 
 def related_from_labels(labels):
     n = len(labels)
