@@ -317,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         p.set_defaults(func=run)
         for name, convert in settings.items():
+            key = _key(name)
             p.add_argument(
-                f"--{_key(name).replace('_', '-')}", dest=name, type=convert,
+                f"--{key.replace('_', '-')}", dest=name, metavar=key.upper(), type=convert,
                 help=f"comma-separated {name} values" if convert is _int_list else None,
             )
         p.add_argument("--config")

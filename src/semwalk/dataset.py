@@ -17,7 +17,7 @@ fields with `read_records` (tab-separated records), `parse_count`
 (header counts) and `parse_reals` (rows of reals).
 
 Descriptor loading is lazy: segments only name their file until the
-matrix is first requested, after which it is cached in a store that
+matrix is first requested, after which it is cached in a dict that
 every split of the dataset shares.
 """
 from __future__ import annotations
@@ -80,37 +80,16 @@ class DescriptorSet:
         return self.values.shape[1]
 
 
-class _DescriptorStore:
-    """Per-dataset descriptor cache; shared across splits of one dataset."""
-
-    def __init__(self) -> None:
-        self.first_loaded: tuple[VideoSegment, int] | None = None
-        self._cache: dict[str, DescriptorSet] = {}
-
-    def load(self, segment: VideoSegment) -> DescriptorSet:
-        cached = self._cache.get(segment.segment_id)
-        if cached is not None:
-            return cached
-        descriptors = read_descriptor_file(segment.descriptor_path)
-        if self.first_loaded is None:
-            self.first_loaded = segment, descriptors.dim
-        first, dim = self.first_loaded
-        if descriptors.dim != dim:
-            raise ValueError(
-                f"segment {segment.segment_id!r} ({segment.descriptor_path}): "
-                f"descriptor dim {descriptors.dim} does not match dataset dim {dim} "
-                f"of segment {first.segment_id!r} ({first.descriptor_path})"
-            )
-        self._cache[segment.segment_id] = descriptors
-        return descriptors
-
-
 @dataclass
 class Dataset:
-    """Ordered segments plus a shared lazy descriptor store."""
+    """Ordered segments plus a lazy descriptor cache that every split of
+    the dataset shares: segment id -> (segment, descriptors), in load
+    order."""
 
     segments: list[VideoSegment]
-    _store: _DescriptorStore = field(default_factory=_DescriptorStore, repr=False)
+    _loaded: dict[str, tuple[VideoSegment, DescriptorSet]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -123,8 +102,21 @@ class Dataset:
         return list(seen)
 
     def load_descriptors(self, segment: VideoSegment) -> DescriptorSet:
-        """Load (or fetch cached) descriptors, enforcing one dim per dataset."""
-        return self._store.load(segment)
+        """Load (or fetch cached) descriptors, enforcing one dim per dataset:
+        the first file loaded sets it."""
+        cached = self._loaded.get(segment.segment_id)
+        if cached is not None:
+            return cached[1]
+        descriptors = read_descriptor_file(segment.descriptor_path)
+        first, first_set = next(iter(self._loaded.values()), (segment, descriptors))
+        if descriptors.dim != first_set.dim:
+            raise ValueError(
+                f"segment {segment.segment_id!r} ({segment.descriptor_path}): "
+                f"descriptor dim {descriptors.dim} does not match dataset dim {first_set.dim} "
+                f"of segment {first.segment_id!r} ({first.descriptor_path})"
+            )
+        self._loaded[segment.segment_id] = segment, descriptors
+        return descriptors
 
 
 def read_lines(path: str | Path) -> tuple[list[str], bool]:
@@ -302,7 +294,7 @@ def parse_manifest(path: str | Path) -> Dataset:
 def split_lopo(dataset: Dataset, person: str) -> tuple[Dataset, Dataset]:
     """Partition into (train, test): test holds exactly `person`'s segments.
 
-    Both halves share the parent's descriptor store, so nothing is
+    Both halves share the parent's descriptor cache, so nothing is
     re-loaded when iterating folds.
     """
     if person not in set(dataset.persons()):
@@ -310,8 +302,8 @@ def split_lopo(dataset: Dataset, person: str) -> tuple[Dataset, Dataset]:
     test = [s for s in dataset.segments if s.person_id == person]
     train = [s for s in dataset.segments if s.person_id != person]
     return (
-        Dataset(segments=train, _store=dataset._store),
-        Dataset(segments=test, _store=dataset._store),
+        Dataset(segments=train, _loaded=dataset._loaded),
+        Dataset(segments=test, _loaded=dataset._loaded),
     )
 
 
@@ -324,7 +316,7 @@ def sample_segments(dataset: Dataset, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     keep = sorted(rng.choice(len(dataset.segments), size=n, replace=False))
     return Dataset(
-        segments=[dataset.segments[i] for i in keep], _store=dataset._store
+        segments=[dataset.segments[i] for i in keep], _loaded=dataset._loaded
     )
 
 

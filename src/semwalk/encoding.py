@@ -50,12 +50,13 @@ video of a block, so each video gets the bits it gets alone.
 
 Nearest neighbors: `distance` compares one encoding with every row of
 a stack.  `shortlist` bounds, for each query of a stack, the rows that
-can be among its k nearest with a queries x rows product and the
-query's own rounding-error margin, so callers take `distance` on those
-rows only and get the same neighbors and bits as from every row.  The
-product is its one large temporary, with no rows x length one, and
-holds at most `_SHORTLIST_BLOCK` estimates: more queries than that
-allows are taken in blocks.
+can be among its k nearest with a queries x rows product and one
+rounding-error margin per block of queries, taken from the block's
+largest norm, so callers take `distance` on those rows only and get the
+same neighbors and bits as from every row.  The product is its one
+large temporary, with no rows x length one, and holds at most
+`_SHORTLIST_BLOCK` estimates: more queries than that allows are taken
+in blocks.
 """
 from __future__ import annotations
 
@@ -499,8 +500,10 @@ def train_gmm(
 ) -> GmmModel:
     """Fit a diagonal-covariance mixture by EM.
 
-    Means initialize from an internal k-means run, weights start
-    uniform and variances start at the pool's per-dimension spread.
+    k-means starts every mixture: the means start at the centers of
+    `train_kmeans(pool, components, seed, max_iters=50)` (the pool's mean
+    for one component), the weights uniform and the variances at the
+    pool's per-dimension spread.
     Iterations stop when the per-point average log-likelihood improves
     by less than `tol`, or at `max_iters`.  Variances are floored every
     step at 1e-6 times that spread (min 1e-12) against collapse onto
@@ -515,11 +518,7 @@ def train_gmm(
     centre, _, xt_sq = centred = _centred(pool)
     spread = xt_sq.mean(axis=1)
     floor = np.maximum(1e-6 * spread, 1e-12)
-    means = (
-        centre[None, :]
-        if components == 1
-        else train_kmeans(pool, components, seed, max_iters=50).centers
-    )
+    means = train_kmeans(pool, components, seed, max_iters=50).centers
     weights = np.full(components, 1.0 / components)
     variances = np.tile(np.maximum(spread, floor), (components, 1))
     history: list[float] = []
@@ -670,40 +669,38 @@ def shortlist(
 ) -> list[np.ndarray]:
     """For each row of `queries`, the ascending indices of every row of
     `stacked` that can be among the k nearest to it, nearness being
-    `distance` with ties to the lower index.
+    `distance` with ties to the lower index; k is clamped to the row
+    count, and a stack of no rows raises a ValueError.
 
     `queries` is a stack too (`stack`).  A queries x rows product
     against `stacked`'s cached `squared_norms` estimates every pair's
     |b|^2 - 2b.q, its squared distance less the |q|^2 every row shares.
     A query keeps the rows whose estimate is within 2 delta of its k-th
-    smallest, with delta = 4 (L + 4) (eps (|q|^2 + max |b|^2) + the
-    smallest subnormal) for length L: at least twice the rounding error
-    of the expansion and of `distance` itself, by the dot-product bound
-    gamma_L |q| |b| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 3.1), which holds in any summation order; so
-    any row left out has k kept rows strictly nearer.  Taking `distance`
-    on the kept rows and a stable sort therefore gives the indices and
-    bits of sorting every row, whatever queries share the product.
-    Every row is kept when k reaches the row count (every query then
-    shares one read-only `np.arange(rows)`), and for a query whose
-    4 (|q|^2 + max |b|^2) is not finite, where no bound holds.  Queries
-    go into the product in blocks of at most `_SHORTLIST_BLOCK`
-    estimates, so its temporaries stay a few MB however many queries
-    are passed.
+    smallest, with one delta per block of queries, 4 (L + 4) (eps s +
+    the smallest subnormal) for length L and s the block's largest
+    |q|^2 plus max |b|^2: at least twice the rounding error of the
+    expansion and of `distance` itself for each query of the block, by
+    the dot-product bound gamma_L |q| |b| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1), which holds in any
+    summation order; so any row left out has k kept rows strictly
+    nearer.  Taking `distance` on the kept rows and a stable sort
+    therefore gives the indices and bits of sorting every row, whatever
+    queries share the product.  A block whose 4 s is not finite, where
+    no bound holds, keeps every row for each of its queries.  Queries go
+    into the product in blocks of at most `_SHORTLIST_BLOCK` estimates,
+    so its temporaries stay a few MB however many queries are passed.
     """
     _check_comparable(queries, stacked, ndim=2)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    count = queries.values.shape[0]
     rows = stacked.values.shape[0]
-    if k >= rows:
-        every = np.arange(rows)
-        every.flags.writeable = False
-        return [every] * count
+    if rows == 0:
+        raise ValueError("no rows to shortlist")
+    k = min(k, rows)
     step = max(1, _SHORTLIST_BLOCK // rows)
     return [
         kept
-        for start in range(0, count, step)
+        for start in range(0, queries.values.shape[0], step)
         for kept in _shortlist_block(queries.values[start : start + step], stacked, k)
     ]
 
@@ -711,27 +708,22 @@ def shortlist(
 def _shortlist_block(
     values: np.ndarray, stacked: EncodedVector, k: int
 ) -> list[np.ndarray]:
-    """`shortlist` of a block of query rows, k < rows; its estimates and
+    """`shortlist` of a block of query rows, k <= rows; its estimates and
     their partitioned copy are freed on return."""
     norms = stacked.squared_norms
     info = np.finfo(np.float64)
-    scales = np.vecdot(values, values) + norms.max()
-    # No bound holds where 4 scale is not finite: such a query keeps every
-    # row and stays out of the product, where it could overflow.
-    bounded = scales <= info.max / 4.0
-    if not bounded.all():
-        kept = [np.arange(norms.shape[0]) for _ in values]
-        inner = _shortlist_block(values[bounded], stacked, k)
-        for index, rows in zip(np.flatnonzero(bounded).tolist(), inner):
-            kept[index] = rows
-        return kept
+    scale = float(np.vecdot(values, values).max() + norms.max())
+    # No bound holds where 4 scale is not finite (NaN included): the block
+    # keeps every row and stays out of the product, where it could overflow.
+    if not scale <= info.max / 4.0:
+        return [np.arange(norms.shape[0]) for _ in values]
     estimate = values @ stacked.values.T
     estimate *= -2.0
     estimate += norms
     kth = np.partition(estimate, k - 1, axis=1)[:, k - 1]
     # The k-th smallest plus 2 delta, 8 (L + 4) (eps scale + tiny).
     length = stacked.values.shape[1]
-    limits = kth + 8.0 * (length + 4) * (info.eps * scales + info.smallest_subnormal)
+    limits = kth + 8.0 * (length + 4) * (info.eps * scale + info.smallest_subnormal)
     return [np.flatnonzero(row <= limit) for row, limit in zip(estimate, limits)]
 
 

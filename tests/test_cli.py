@@ -262,6 +262,17 @@ def test_options_types_and_defaults_are_pinned(command, capsys):
         assert changed == [want] and type(changed[0]) is type(want), (command, name)
 
 
+@pytest.mark.parametrize(
+    "command,shown", [("evaluate", "--lambda LAMBDA"), ("gen-synthetic", "--points POINTS")]
+)
+def test_help_names_each_value_after_its_option(command, shown, capsys):
+    assert dispatch([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(rf"{shown}\b", out)
+    pairs = re.findall(r"(--[a-z][a-z-]*) ([A-Z][A-Z_]*)", out)
+    assert pairs and all(value == option[2:].replace("-", "_").upper() for option, value in pairs)
+
+
 class TestConfigFile:
     def _evaluate(self, tmp_path, text):
         config = tmp_path / "run.cfg"

@@ -984,13 +984,20 @@ class TestShortlist:
         assert rows[pick].tolist() == order.tolist()
         assert kept[pick].tobytes() == every[order].tobytes()
 
-    def test_an_unbounded_query_keeps_every_row_and_others_their_own(self):
+    def test_an_unbounded_query_keeps_every_row_for_its_block(self, monkeypatch):
         stacked = stack([vec([float(i), 0.0]) for i in range(6)])
-        queries = stack([vec([0.1, 0.0]), vec([np.nan, 0.0]), vec([1e154, 0.0]), vec([4.9, 0.0])])
+        every = list(range(6))
+        for bad in (np.nan, 1e154):
+            queries = stack([vec([0.1, 0.0]), vec([bad, 0.0]), vec([4.9, 0.0])])
+            kept = shortlist(queries, stacked, 1)
+            assert [rows.tolist() for rows in kept] == [every] * 3
+            checked = [0, 1, 2] if np.isfinite(bad) else [0, 2]
+            for index in checked:
+                self._check_row(EncodedVector(queries.values[index], FV), stacked, 1, kept[index])
+        # In blocks of one query each, only the 1e154 query keeps every row.
+        monkeypatch.setattr(encoding, "_SHORTLIST_BLOCK", 6)
         kept = shortlist(queries, stacked, 1)
-        assert [rows.tolist() for rows in kept] == [[0], list(range(6)), list(range(6)), [5]]
-        for values, rows in zip(queries.values[[0, 2, 3]], kept[:1] + kept[2:]):
-            self._check_row(EncodedVector(values, FV), stacked, 1, rows)
+        assert [rows.tolist() for rows in kept] == [[0], every, [5]]
 
     def test_far_rows_are_left_out(self):
         stacked = stack([vec([float(i), 0.0]) for i in range(10)])
@@ -1017,6 +1024,11 @@ class TestShortlist:
             one_shortlist(vec([1.0, 2.0], kind=BOW), stacked, 1)
         with pytest.raises(ValueError, match="length"):
             one_shortlist(vec([1.0]), stacked, 1)
+
+    def test_rejects_a_stack_of_no_rows(self):
+        empty = EncodedVector(np.empty((0, 2)), FV)
+        with pytest.raises(ValueError, match="no rows"):
+            one_shortlist(vec([1.0, 2.0]), empty, 1)
 
     @staticmethod
     def _peak(queries, stacked):

@@ -7,7 +7,12 @@ import semwalk.encoding
 import semwalk.evaluation
 import semwalk.graph
 import semwalk.inference
-from semwalk.dataset import DescriptorSet, parse_manifest, read_descriptor_file
+from semwalk.dataset import (
+    DescriptorSet,
+    parse_manifest,
+    read_descriptor_file,
+    write_descriptor_file,
+)
 from semwalk.evaluation import (
     EvalConfig,
     SyntheticSpec,
@@ -17,6 +22,7 @@ from semwalk.evaluation import (
     run_lopo,
     sweep,
     sweep_configs,
+    train_encoder,
     write_report,
 )
 from semwalk.semantics import AH, AM, AS, parse_taxonomy, semantic_classes
@@ -453,13 +459,33 @@ class TestOracleKernels:
     """Whole LOPO runs as shipped against the same runs with every kernel
     whose oracle must give the same bits swapped for it."""
 
-    @pytest.fixture(scope="class", params=[1, 2])
+    @pytest.fixture(scope="class", params=[1, 2, "varied"])
     def noisy_dataset(self, request, tmp_path_factory):
+        """Seeds 1 and 2 as generated; "varied" keeps the first 1 to 20
+        rows of each of seed 3's videos, so row counts vary and some
+        videos have one row."""
         out = tmp_path_factory.mktemp(f"noisy{request.param}")
-        manifest_path, taxonomy_path = gen_synthetic(
-            SyntheticSpec(sigma=10.0, seed=request.param), out
-        )
-        return manifest_path, parse_manifest(manifest_path), parse_taxonomy(taxonomy_path)
+        if request.param == "varied":
+            spec = SyntheticSpec(sigma=10.0, seed=3, rows_per_video=20)
+        else:
+            spec = SyntheticSpec(sigma=10.0, seed=request.param)
+        manifest_path, taxonomy_path = gen_synthetic(spec, out)
+        ds = parse_manifest(manifest_path)
+        if request.param == "varied":
+            counts = np.random.default_rng(3).integers(1, 21, len(ds))
+            assert counts.min() == 1 and len(set(counts.tolist())) > 10
+            for seg, count in zip(ds.segments, counts):
+                values = read_descriptor_file(seg.descriptor_path).values
+                write_descriptor_file(seg.descriptor_path, values[:count])
+        return manifest_path, ds, parse_taxonomy(taxonomy_path)
+
+    @pytest.mark.parametrize("encoding_name,gamma", [("bow", 16), ("fv", 6)])
+    def test_encode_many_equals_encode_per_video(self, noisy_dataset, encoding_name, gamma):
+        _, ds, _ = noisy_dataset
+        model = train_encoder(ds, EvalConfig(encoding=encoding_name, gamma=gamma), seed=0)
+        sets = [ds.load_descriptors(seg).values for seg in ds.segments]
+        for values, vector in zip(sets, semwalk.encoding.encode_many(model, sets)):
+            assert vector.values.tobytes() == semwalk.encoding.encode(model, values).values.tobytes()
 
     @pytest.mark.parametrize("encoding_name,gamma", [("bow", 16), ("fv", 6)])
     @pytest.mark.parametrize("method", ["knn", "sembed"])
